@@ -3,9 +3,11 @@
 // Shared harness for the bench binaries. Every bench describes its run
 // matrix as ScenarioSpec cells, executes them concurrently on the
 // exp::ParallelRunner, reads measurements back from the aggregated
-// summaries, and writes the versioned BENCH_<name>.json sweep artifact.
-// Failures are loud: any run that trips an obs trace checker (or throws
-// during setup) aborts the bench, exactly like BenchReport::add_run did.
+// summaries, and writes the versioned BENCH_<name>.json sweep artifact
+// (exp::SweepReport, the one artifact writer; provenance.git_sha comes
+// from exp::resolve_git_sha, like mobidist_sweep's). Failures are loud:
+// any run that trips an obs trace checker (or throws during setup)
+// aborts the bench.
 
 #include <algorithm>
 #include <chrono>
@@ -74,9 +76,7 @@ class Sections {
     report_.jobs = runner.jobs();
     report_.wall_clock_sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (const char* sha = std::getenv("MOBIDIST_GIT_SHA"); sha != nullptr) {
-      report_.git_sha = sha;
-    }
+    report_.git_sha = exp::resolve_git_sha();
   }
 
   /// Mean of `metric` across the seeds of `cell`; aborts on a missing

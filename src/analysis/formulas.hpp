@@ -41,11 +41,13 @@ namespace mobidist::analysis {
 /// K*(3*c_wireless + c_fixed + c_search) + M*c_fixed.
 [[nodiscard]] double r2_cost(std::uint64_t k, std::uint32_t m, const cost::CostParams& p);
 
-/// Upper bound on grants per traversal: N*M for R2, N for R2'.
+/// Upper bound on grants per traversal for R2: N*M.
 [[nodiscard]] constexpr std::uint64_t r2_max_grants_per_traversal(std::uint32_t n,
                                                                   std::uint32_t m) {
   return static_cast<std::uint64_t>(n) * m;
 }
+/// Upper bound on grants per traversal for R2' (and R2''): N, each MH
+/// served at most once.
 [[nodiscard]] constexpr std::uint64_t r2prime_max_grants_per_traversal(std::uint32_t n) {
   return n;
 }

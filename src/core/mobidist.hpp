@@ -35,7 +35,6 @@
 #include "proxy/static_algorithm.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace mobidist {

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-#include "obs/binlog.hpp"
-#include "obs/checkers.hpp"
-#include "obs/events.hpp"
 
 namespace mobidist::core {
 
@@ -86,7 +80,7 @@ std::string summarize(const cost::CostLedger& ledger, const cost::CostParams& pa
   return os.str();
 }
 
-// --- JSON bench artifacts ---------------------------------------------------
+// --- artifact files ---------------------------------------------------------
 
 std::string resolve_env_dir(const char* var, std::string_view fallback) {
   const char* value = std::getenv(var);
@@ -112,255 +106,6 @@ void write_text_file(const std::string& path, std::string_view content) {
   if (!out) {
     throw std::runtime_error("cannot write " + path);
   }
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Shortest round-trip double rendering via std::to_chars: identical
-/// values are always byte-identical text, independent of the process
-/// locale (snprintf "%.6f" honoured LC_NUMERIC's decimal separator and
-/// truncated to six fractional digits). core cannot depend on exp, so
-/// this mirrors exp::json::format_double rather than calling it.
-std::string json_double(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  if (ec != std::errc{}) return "0";  // cannot happen with this buffer size
-  return std::string(buf, ptr);
-}
-
-std::string quoted(std::string_view text) { return '"' + json_escape(text) + '"'; }
-
-const char* search_mode_name(net::SearchMode mode) {
-  return mode == net::SearchMode::kOracle ? "oracle" : "broadcast";
-}
-
-const char* placement_name(net::InitialPlacement placement) {
-  switch (placement) {
-    case net::InitialPlacement::kRoundRobin: return "round_robin";
-    case net::InitialPlacement::kRandom: return "random";
-    case net::InitialPlacement::kAllInCell0: return "all_in_cell0";
-  }
-  return "unknown";
-}
-
-std::string config_json(const net::NetConfig& cfg) {
-  std::ostringstream os;
-  const auto& lat = cfg.latency;
-  os << "{\"num_mss\":" << cfg.num_mss << ",\"num_mh\":" << cfg.num_mh
-     << ",\"seed\":" << cfg.seed << ",\"search\":" << quoted(search_mode_name(cfg.search))
-     << ",\"placement\":" << quoted(placement_name(cfg.placement))
-     << ",\"charge_search_for_local\":" << (cfg.charge_search_for_local ? "true" : "false")
-     << ",\"latency\":{\"wired_min\":" << lat.wired_min << ",\"wired_max\":" << lat.wired_max
-     << ",\"wireless_min\":" << lat.wireless_min << ",\"wireless_max\":" << lat.wireless_max
-     << ",\"search_min\":" << lat.search_min << ",\"search_max\":" << lat.search_max
-     << ",\"broadcast_retry\":" << lat.broadcast_retry << "}}";
-  return os.str();
-}
-
-std::string ledger_json(const cost::CostLedger& ledger, const cost::CostParams& params) {
-  std::ostringstream os;
-  os << "{\"fixed_msgs\":" << ledger.fixed_msgs()
-     << ",\"wireless_msgs\":" << ledger.wireless_msgs()
-     << ",\"searches\":" << ledger.searches() << ",\"wireless_tx\":" << ledger.wireless_tx()
-     << ",\"wireless_rx\":" << ledger.wireless_rx()
-     << ",\"total_cost\":" << json_double(ledger.total(params))
-     << ",\"total_energy\":" << json_double(ledger.total_energy(params)) << "}";
-  return os.str();
-}
-
-std::string cost_params_json(const cost::CostParams& params) {
-  std::ostringstream os;
-  os << "{\"c_fixed\":" << json_double(params.c_fixed)
-     << ",\"c_wireless\":" << json_double(params.c_wireless)
-     << ",\"c_search\":" << json_double(params.c_search)
-     << ",\"energy_tx\":" << json_double(params.energy_tx)
-     << ",\"energy_rx\":" << json_double(params.energy_rx) << "}";
-  return os.str();
-}
-
-}  // namespace
-
-std::string metrics_json(const obs::Registry& registry) {
-  std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, counter] : registry.counters()) {
-    if (!first) os << ',';
-    first = false;
-    os << quoted(name) << ':' << counter.value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : registry.gauges()) {
-    if (!first) os << ',';
-    first = false;
-    os << quoted(name) << ':' << gauge.value();
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : registry.histograms()) {
-    if (!first) os << ',';
-    first = false;
-    os << quoted(name) << ":{\"bounds\":[";
-    const auto& bounds = hist.bounds();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      if (i != 0) os << ',';
-      os << bounds[i];
-    }
-    os << "],\"counts\":[";
-    const auto counts = hist.bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i != 0) os << ',';
-      os << counts[i];
-    }
-    os << "],\"count\":" << hist.count() << ",\"sum\":" << hist.sum();
-    if (hist.count() != 0) {
-      os << ",\"min\":" << hist.min() << ",\"max\":" << hist.max();
-    }
-    os << '}';
-  }
-  os << "}}";
-  return os.str();
-}
-
-BenchReport::BenchReport(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
-
-void BenchReport::add_run(std::string label, const net::Network& net,
-                          const cost::CostParams& params) {
-  // Every bench run is a correctness oracle: the paper's safety
-  // properties must hold on the event stream it just produced.
-  const auto failures = obs::check_all(net.events());
-  if (!failures.empty()) {
-    std::string what = "BenchReport: trace checkers failed for run \"" + label + "\"";
-    const std::size_t shown = std::min<std::size_t>(failures.size(), 5);
-    for (std::size_t i = 0; i < shown; ++i) {
-      what += "\n  " + obs::to_string(failures[i]);
-    }
-    if (failures.size() > shown) {
-      what += "\n  ... and " + std::to_string(failures.size() - shown) + " more";
-    }
-    throw std::runtime_error(what);
-  }
-
-  const auto& stream = net.events();
-  const auto binlog = obs::binlog_stats(stream);
-  binlog_emitted_ += binlog.emitted;
-  binlog_dropped_ += binlog.dropped;
-  binlog_bytes_ += binlog.bytes;
-  std::ostringstream os;
-  os << "{\"label\":" << quoted(label) << ",\"config\":" << config_json(net.config())
-     << ",\"cost_params\":" << cost_params_json(params)
-     << ",\"events\":" << net.sched().fired()
-     << ",\"event_stream\":{\"emitted\":" << stream.emitted()
-     << ",\"retained\":" << stream.retained() << ",\"dropped\":" << stream.dropped()
-     << "},\"text_trace\":{\"retained\":" << net.trace().records().size()
-     << ",\"dropped\":" << net.trace().dropped() << "}"
-     << ",\"ledger\":" << ledger_json(net.ledger(), params)
-     << ",\"metrics\":" << metrics_json(net.metrics()) << "}";
-  total_events_ += net.sched().fired();
-
-  // Optional per-run trace artifacts, gated on MOBIDIST_TRACE_DIR (unset
-  // = disabled; set-but-unwritable = loud failure, like the bench dir).
-  const std::string trace_dir = resolve_env_dir("MOBIDIST_TRACE_DIR", "");
-  if (!trace_dir.empty()) {
-    std::string slug = label;
-    for (char& c : slug) {
-      if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
-    }
-    const std::string base =
-        trace_dir + "TRACE_" + name_ + "_" + std::to_string(runs_.size()) + "_" + slug;
-    if (resolve_trace_format() == TraceFormat::kBinlog) {
-      // Compact binary artifact; tools/trace_dump decodes it back to the
-      // exact JSONL (and Perfetto view) the branch below writes.
-      write_text_file(base + ".binlog", obs::serialize_binlog(stream));
-    } else {
-      write_text_file(base + ".jsonl", obs::to_jsonl(stream));
-      write_text_file(base + ".trace.json", obs::to_chrome_trace(stream));
-    }
-  }
-
-  runs_.push_back(os.str());
-  seeds_.push_back(net.config().seed);
-}
-
-void BenchReport::note(std::string key, std::string value) {
-  notes_.emplace_back(std::move(key), std::move(value));
-}
-
-std::string BenchReport::body_json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":" << kBenchSchemaVersion << ",\"name\":" << quoted(name_)
-     << ",\"meta\":{\"runs\":" << runs_.size() << ",\"seeds\":[";
-  for (std::size_t i = 0; i < seeds_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << seeds_[i];
-  }
-  os << "]},\"notes\":{";
-  for (std::size_t i = 0; i < notes_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << quoted(notes_[i].first) << ':' << quoted(notes_[i].second);
-  }
-  os << "},\"runs\":[";
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    if (i != 0) os << ',';
-    os << runs_[i];
-  }
-  os << ']';
-  return os.str();
-}
-
-std::string BenchReport::deterministic_json() const { return body_json() + "}"; }
-
-std::string BenchReport::json() const {
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  const double ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(elapsed).count();
-  const double events_per_sec =
-      ms > 0.0 ? static_cast<double>(total_events_) / (ms / 1000.0) : 0.0;
-  const char* sha = std::getenv("MOBIDIST_GIT_SHA");
-  std::ostringstream os;
-  os << body_json() << ",\"timing\":{\"wall_clock_ms\":" << json_double(ms)
-     << ",\"events_per_sec\":" << json_double(events_per_sec) << "}"
-     << ",\"provenance\":{\"git_sha\":" << quoted(sha != nullptr ? sha : "")
-     << ",\"binlog\":{\"emitted\":" << binlog_emitted_ << ",\"dropped\":" << binlog_dropped_
-     << ",\"bytes\":" << binlog_bytes_ << "}}}";
-  return os.str();
-}
-
-std::string BenchReport::write() const {
-  const std::string path =
-      resolve_env_dir("MOBIDIST_BENCH_DIR", ".") + "BENCH_" + name_ + ".json";
-  try {
-    write_text_file(path, json() + '\n');
-  } catch (const std::runtime_error& err) {
-    throw std::runtime_error("BenchReport: " + std::string(err.what()));
-  }
-  return path;
 }
 
 }  // namespace mobidist::core

@@ -1,16 +1,11 @@
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "cost/cost_model.hpp"
-#include "net/network.hpp"
-#include "obs/metrics.hpp"
 
 namespace mobidist::core {
 
@@ -20,11 +15,13 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers);
 
+  /// Append one row, padded or truncated to the header count.
   Table& row(std::vector<std::string> cells);
 
   /// Render with a header rule and right-aligned numeric-looking cells.
   void print(std::ostream& os) const;
 
+  /// Number of rows appended so far.
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:
@@ -42,17 +39,7 @@ class Table {
 [[nodiscard]] std::string summarize(const cost::CostLedger& ledger,
                                     const cost::CostParams& params);
 
-// --- JSON bench artifacts ---------------------------------------------------
-
-/// BENCH_*.json layout version. Version 1 was the unversioned layout
-/// (no "schema_version" / "meta" members); version 2 adds both.
-/// Artifact consumers (exp::compare_to_baseline and external tooling)
-/// refuse to compare artifacts across versions.
-inline constexpr int kBenchSchemaVersion = 2;
-
-/// Escape `text` for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters).
-[[nodiscard]] std::string json_escape(std::string_view text);
+// --- artifact files ---------------------------------------------------------
 
 /// Resolve an artifact directory from environment variable `var`,
 /// normalized to end in '/'. Unset or empty falls back to `fallback`
@@ -69,78 +56,12 @@ enum class TraceFormat {
 
 /// Read MOBIDIST_TRACE_FORMAT: unset/"" / "jsonl" -> kJsonl, "binlog"
 /// -> kBinlog; anything else throws (a typo must not silently disable
-/// trace artifacts). Shared by BenchReport and the experiment runner.
+/// trace artifacts). Read by the experiment runner's TRACE_* writer.
 [[nodiscard]] TraceFormat resolve_trace_format();
 
 /// Write `content` to `path`, throwing std::runtime_error on any
 /// failure (missing directory, unwritable file) so misconfigured
 /// artifact dirs fail loudly instead of silently dropping output.
 void write_text_file(const std::string& path, std::string_view content);
-
-/// Serialize every metric in `registry` as a JSON object with
-/// "counters" / "gauges" / "histograms" sections, iterated in name order
-/// so identical registries produce byte-identical text.
-[[nodiscard]] std::string metrics_json(const obs::Registry& registry);
-
-/// Collects per-run snapshots from a bench binary and writes the
-/// `BENCH_<name>.json` artifact.
-///
-/// Usage: construct one per bench, call add_run() for each simulated
-/// system *while its Network is still alive* (the snapshot is serialized
-/// immediately), optionally note() free-form key/values, then write().
-///
-/// Everything except the "timing" object is a pure function of the
-/// simulation: two runs of the same bench with the same seeds produce
-/// byte-identical deterministic_json(). Wall-clock derived numbers live
-/// only under "timing", which json()/write() append.
-class BenchReport {
- public:
-  explicit BenchReport(std::string name);
-
-  /// Snapshot one simulated system: config, seed, cost-ledger totals
-  /// under `params`, scheduler events fired, the full metric registry,
-  /// and event-stream / text-trace retention counts.
-  ///
-  /// Also (a) runs every obs checker over the system's event stream and
-  /// throws std::runtime_error on a violation — each bench doubles as a
-  /// correctness oracle — and (b) when MOBIDIST_TRACE_DIR is set, writes
-  /// the stream as TRACE_<bench>_<n>_<label>.jsonl plus a
-  /// Perfetto-loadable .trace.json next to it (same fail-loudly
-  /// semantics as MOBIDIST_BENCH_DIR).
-  void add_run(std::string label, const net::Network& net, const cost::CostParams& params);
-
-  /// Attach a free-form note (emitted under "notes" in insertion order).
-  void note(std::string key, std::string value);
-
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t runs() const noexcept { return runs_.size(); }
-
-  /// The seed-determined portion of the artifact (no "timing" object).
-  [[nodiscard]] std::string deterministic_json() const;
-
-  /// Full artifact: deterministic body plus "timing" {wall_clock_ms,
-  /// events_per_sec} measured since construction.
-  [[nodiscard]] std::string json() const;
-
-  /// Write the artifact to `$MOBIDIST_BENCH_DIR/BENCH_<name>.json`
-  /// (current directory if the variable is unset) and return the path.
-  /// Throws std::runtime_error if the file cannot be written (e.g. the
-  /// directory does not exist).
-  std::string write() const;
-
- private:
-  [[nodiscard]] std::string body_json() const;
-
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> notes_;
-  std::vector<std::string> runs_;        // pre-serialized run objects
-  std::vector<std::uint64_t> seeds_;     // cfg.seed of each run, in order
-  std::uint64_t total_events_ = 0;
-  // Binary-telemetry sink totals across runs, surfaced in provenance.
-  std::uint64_t binlog_emitted_ = 0;
-  std::uint64_t binlog_dropped_ = 0;
-  std::uint64_t binlog_bytes_ = 0;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace mobidist::core

@@ -87,12 +87,17 @@ class CostLedger {
   /// the real (M-1) query messages are charged as fixed messages instead.
   void charge_search() noexcept { ++searches_; }
 
+  /// Wired MSS->MSS messages charged (batched or not).
   [[nodiscard]] std::uint64_t fixed_msgs() const noexcept { return fixed_msgs_; }
   /// Wired packets charged; equals fixed_msgs() when nothing batches.
   [[nodiscard]] std::uint64_t wired_packets() const noexcept { return wired_packets_; }
+  /// Wireless hops charged, in either direction.
   [[nodiscard]] std::uint64_t wireless_msgs() const noexcept { return wireless_msgs_; }
+  /// Logical searches charged (oracle mode only).
   [[nodiscard]] std::uint64_t searches() const noexcept { return searches_; }
+  /// Wireless hops the MH transmitted (uplinks).
   [[nodiscard]] std::uint64_t wireless_tx() const noexcept { return wireless_tx_; }
+  /// Wireless hops the MH received (downlinks).
   [[nodiscard]] std::uint64_t wireless_rx() const noexcept { return wireless_rx_; }
 
   /// Total monetized cost under `p`:
@@ -119,6 +124,7 @@ class CostLedger {
   /// and folds them at harvest time.
   void merge_from(const CostLedger& other);
 
+  /// Zero every counter and forget all per-MH energy.
   void reset();
 
  private:

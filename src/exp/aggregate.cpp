@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -20,28 +21,6 @@ namespace {
 /// could differ across environments and re-parsed values across runs.
 std::string num(double v) { return json::format_double(v); }
 
-std::string quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void append_summary(std::string& out, const MetricSummary& s) {
   out += "{\"max\":" + num(s.max) + ",\"mean\":" + num(s.mean) +
          ",\"min\":" + num(s.min) + ",\"n\":" + std::to_string(s.n) +
@@ -51,7 +30,7 @@ void append_summary(std::string& out, const MetricSummary& s) {
 
 void append_body(std::string& out, const SweepReport& r) {
   out += "\"schema_version\":" + std::to_string(kSweepSchemaVersion);
-  out += ",\"name\":" + quote(r.name);
+  out += ",\"name\":" + json::quote(r.name);
   out += ",\"seeds\":[";
   for (std::size_t i = 0; i < r.seeds.size(); ++i) {
     if (i != 0) out += ',';
@@ -60,14 +39,14 @@ void append_body(std::string& out, const SweepReport& r) {
   out += "],\"axes\":[";
   for (std::size_t i = 0; i < r.axes.size(); ++i) {
     if (i != 0) out += ',';
-    out += "{\"key\":" + quote(r.axes[i].first) +
-           ",\"values\":" + quote(r.axes[i].second) + "}";
+    out += "{\"key\":" + json::quote(r.axes[i].first) +
+           ",\"values\":" + json::quote(r.axes[i].second) + "}";
   }
   out += "],\"cells\":[";
   for (std::size_t c = 0; c < r.cells.size(); ++c) {
     const auto& cell = r.cells[c];
     if (c != 0) out += ',';
-    out += "{\"cell\":" + quote(cell.cell);
+    out += "{\"cell\":" + json::quote(cell.cell);
     out += ",\"seeds\":[";
     for (std::size_t i = 0; i < cell.seeds.size(); ++i) {
       if (i != 0) out += ',';
@@ -78,7 +57,7 @@ void append_body(std::string& out, const SweepReport& r) {
       out += ",\"errors\":[";
       for (std::size_t i = 0; i < cell.errors.size(); ++i) {
         if (i != 0) out += ',';
-        out += quote(cell.errors[i]);
+        out += json::quote(cell.errors[i]);
       }
       out += ']';
     }
@@ -87,7 +66,7 @@ void append_body(std::string& out, const SweepReport& r) {
     for (const auto& [name, summary] : cell.metrics) {
       if (!first) out += ',';
       first = false;
-      out += quote(name) + ":";
+      out += json::quote(name) + ":";
       append_summary(out, summary);
     }
     out += "}}";
@@ -213,7 +192,7 @@ std::string SweepReport::deterministic_json() const {
 std::string SweepReport::json() const {
   std::string out = "{";
   append_body(out, *this);
-  out += ",\"provenance\":{\"git_sha\":" + quote(git_sha) +
+  out += ",\"provenance\":{\"git_sha\":" + json::quote(git_sha) +
          ",\"jobs\":" + std::to_string(jobs) +
          ",\"shards\":" + std::to_string(shards) +
          ",\"wall_clock_sec\":" + num(wall_clock_sec) +
@@ -230,7 +209,7 @@ std::string SweepReport::json() const {
     if (cell.wall_sec.n == 0) continue;
     if (!first) out += ',';
     first = false;
-    out += "{\"cell\":" + quote(cell.cell) + ",\"wall_sec\":";
+    out += "{\"cell\":" + json::quote(cell.cell) + ",\"wall_sec\":";
     append_summary(out, cell.wall_sec);
     out += ",\"events_per_sec\":";
     append_summary(out, cell.events_per_sec);
@@ -246,6 +225,22 @@ const CellSummary* SweepReport::find_cell(std::string_view cell) const {
     if (c.cell == cell) return &c;
   }
   return nullptr;
+}
+
+std::string resolve_git_sha() {
+  if (const char* env = std::getenv("MOBIDIST_GIT_SHA"); env != nullptr) return env;
+#if defined(_WIN32)
+  return {};
+#else
+  FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
+  if (pipe == nullptr) return {};
+  char buf[64] = {};
+  std::string sha;
+  if (std::fgets(buf, sizeof buf, pipe) != nullptr) sha = buf;
+  ::pclose(pipe);
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha;
+#endif
 }
 
 std::string Regression::to_string() const {

@@ -80,6 +80,11 @@ struct SweepReport {
   [[nodiscard]] const CellSummary* find_cell(std::string_view cell) const;
 };
 
+/// Best-effort provenance for SweepReport::git_sha: MOBIDIST_GIT_SHA
+/// wins (CI sets it), else `git rev-parse --short HEAD` in the working
+/// directory, else empty. Never fails the run.
+[[nodiscard]] std::string resolve_git_sha();
+
 /// Group position-stable results by cell (plan order preserved) and
 /// summarize every metric across each cell's ok seeds.
 [[nodiscard]] SweepReport aggregate(const std::string& name, const SweepGrid& grid,

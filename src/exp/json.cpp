@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "obs/events.hpp"
+
 namespace mobidist::exp::json {
 
 const Value* Value::find(std::string_view key) const noexcept {
@@ -205,6 +207,12 @@ std::string format_double(double value) {
   const auto [ptr, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), value);
   if (ec != std::errc{}) return "0";  // cannot happen with this buffer size
   return std::string(buf.data(), ptr);
+}
+
+std::string quote(std::string_view text) {
+  std::string out;
+  obs::append_json_string(out, text);
+  return out;
 }
 
 }  // namespace mobidist::exp::json

@@ -90,4 +90,8 @@ class Value {
 /// cannot represent, render as "null".
 [[nodiscard]] std::string format_double(double value);
 
+/// Render `text` as a quoted JSON string literal via
+/// obs::append_json_string, the library's one string escaper.
+[[nodiscard]] std::string quote(std::string_view text);
+
 }  // namespace mobidist::exp::json

@@ -123,7 +123,7 @@ class WorkloadLibrary {
 /// profile is non-trivial, invoke the workload builder, drive the
 /// scheduler, gate on every obs trace checker, then harvest metrics.
 /// When MOBIDIST_TRACE_DIR is set the event stream is exported as
-/// TRACE_<name>_<index>_<cell>.jsonl (+ Chrome trace), like BenchReport.
+/// TRACE_<name>_<index>_<cell>.jsonl (+ Chrome trace).
 /// Never throws: failures come back as ok=false results.
 [[nodiscard]] RunResult run_scenario(const RunPlan& plan,
                                      const WorkloadLibrary& workloads =

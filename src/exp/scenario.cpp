@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/report.hpp"
 #include "exp/json.hpp"
 
 namespace mobidist::exp {
@@ -282,9 +281,9 @@ std::string to_json(const ScenarioSpec& spec) {
   std::ostringstream os;
   const auto& lat = spec.net.latency;
   const auto& f = spec.fault;
-  os << "{\"name\":\"" << core::json_escape(spec.name) << "\",\"workload\":\""
-     << core::json_escape(spec.workload) << "\",\"variant\":\""
-     << core::json_escape(spec.variant) << "\",\"topology\":{\"num_mss\":"
+  os << "{\"name\":" << json::quote(spec.name) << ",\"workload\":"
+     << json::quote(spec.workload) << ",\"variant\":" << json::quote(spec.variant)
+     << ",\"topology\":{\"num_mss\":"
      << spec.net.num_mss << ",\"num_mh\":" << spec.net.num_mh << ",\"search\":\""
      << search_name(spec.net.search) << "\",\"placement\":\""
      << placement_name(spec.net.placement) << "\",\"charge_search_for_local\":"
@@ -368,7 +367,7 @@ std::string to_json(const ScenarioSpec& spec) {
   for (const auto& [key, value] : spec.params) {
     if (!first) os << ',';
     first = false;
-    os << '"' << core::json_escape(key) << "\":" << real(value);
+    os << json::quote(key) << ':' << real(value);
   }
   os << "}}";
   return os.str();

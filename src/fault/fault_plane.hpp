@@ -80,6 +80,7 @@ class FaultPlane {
  public:
   FaultPlane(std::uint64_t seed, FaultProfile profile);
 
+  /// The profile this plane was built from.
   [[nodiscard]] const FaultProfile& profile() const noexcept { return profile_; }
 
   // --- per-frame draws (consume the fault stream, in call order) ------------
@@ -111,6 +112,8 @@ class FaultPlane {
 
   // --- metrics (lazily registered: an inert plane leaves no trace) ----------
 
+  /// Registry that the count_* calls register their counters in, on
+  /// first use. Unbound, the count_* calls are no-ops.
   void bind_metrics(obs::Registry& registry) noexcept { registry_ = &registry; }
   void count_loss();        ///< fault.injected_loss
   void count_dup();         ///< fault.injected_dup

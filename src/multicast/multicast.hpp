@@ -40,8 +40,11 @@ class McastService {
   /// with the delivery monitor. Callable from inside the simulation.
   std::uint64_t publish(net::MssId source);
 
+  /// The static delivery list given at construction.
   [[nodiscard]] const group::Group& recipients() const noexcept { return recipients_; }
+  /// Exactly-once delivery bookkeeping for every published message.
   [[nodiscard]] group::DeliveryMonitor& monitor() noexcept { return monitor_; }
+  /// Read-only view of the delivery monitor.
   [[nodiscard]] const group::DeliveryMonitor& monitor() const noexcept { return monitor_; }
 
   /// Buffered log length at one MSS (GC is out of scope; the log is the

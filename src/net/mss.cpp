@@ -76,11 +76,6 @@ void Mss::dispatch(const Envelope& env) {
 }
 
 void Mss::handle_join(const msg::Join& join) {
-  if (net_.trace_enabled(sim::TraceLevel::kDebug)) {
-    net_.log(sim::TraceLevel::kDebug, "mss",
-             to_string(id_) + (join.reconnect ? " reconnect " : " join ") + to_string(join.mh) +
-                 " prev=" + to_string(join.prev_mss));
-  }
   local_.insert(join.mh);
   net_.mh(join.mh).complete_join(id_);
   arrival_seq_[join.mh] = net_.mh(join.mh).joins_completed();
@@ -132,9 +127,6 @@ void Mss::handle_leave(const msg::Leave& leave) {
   if (const auto it = arrival_seq_.find(leave.mh);
       it != arrival_seq_.end() && it->second > leave.join_seq) {
     return;
-  }
-  if (net_.trace_enabled(sim::TraceLevel::kDebug)) {
-    net_.log(sim::TraceLevel::kDebug, "mss", to_string(id_) + " leave " + to_string(leave.mh));
   }
   ++net_.stats().leaves;
   remove_local(leave.mh);

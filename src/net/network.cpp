@@ -32,50 +32,6 @@ void check_latency_range(const char* name, sim::Duration lo, sim::Duration hi) {
 
 }  // namespace
 
-namespace {
-
-/// Trace severity of a structured event kind: mobility disruptions are
-/// info, per-message flow is debug noise.
-sim::TraceLevel trace_level_of(obs::EventKind kind) {
-  switch (kind) {
-    case obs::EventKind::kDisconnect:
-    case obs::EventKind::kReconnect:
-    case obs::EventKind::kMssCrash:
-    case obs::EventKind::kMssRecover: return sim::TraceLevel::kInfo;
-    default: return sim::TraceLevel::kDebug;
-  }
-}
-
-/// Trace component tag of a structured event kind.
-std::string_view trace_component_of(obs::EventKind kind) {
-  switch (kind) {
-    case obs::EventKind::kSend:
-    case obs::EventKind::kRecv:
-    case obs::EventKind::kDeliver:
-    case obs::EventKind::kPacketSend:
-    case obs::EventKind::kPacketFlush: return "net";
-    case obs::EventKind::kHandoffBegin:
-    case obs::EventKind::kHandoffEnd:
-    case obs::EventKind::kDisconnect:
-    case obs::EventKind::kReconnect: return "mss";
-    case obs::EventKind::kSearchRound: return "search";
-    case obs::EventKind::kCsRequest:
-    case obs::EventKind::kCsEnter:
-    case obs::EventKind::kCsExit:
-    case obs::EventKind::kTokenDepart:
-    case obs::EventKind::kTokenArrive: return "mutex";
-    case obs::EventKind::kLocationUpdate:
-    case obs::EventKind::kViewChange: return "group";
-    case obs::EventKind::kMsgDropped:
-    case obs::EventKind::kMsgDuplicated:
-    case obs::EventKind::kMssCrash:
-    case obs::EventKind::kMssRecover: return "fault";
-  }
-  return "net";
-}
-
-}  // namespace
-
 Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   if (cfg_.num_mss == 0) throw std::invalid_argument("Network: need at least one MSS");
   // Channel keys pack endpoint indices into 30-bit fields; reject id
@@ -109,18 +65,7 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
           [this](FormationLayer::Packet packet) { transmit_packet(std::move(packet)); });
     }
   }
-  if (!sharded()) {
-    // The free-text trace is a rendering of the event stream: every
-    // structured event that clears the trace's level filter is formatted
-    // into it, so trace text and event records can never disagree. The
-    // sharded engine skips the sink (a shared text buffer would race
-    // across shard threads); its canonical record is merged_events().
-    slices_[0]->events.set_sink([this](const obs::Event& ev) {
-      const auto level = trace_level_of(ev.kind);
-      if (level < trace_.min_level()) return;  // skip the formatting work
-      trace_.log(ev.at, level, trace_component_of(ev.kind), obs::describe(ev));
-    });
-  } else {
+  if (sharded()) {
     lane_rngs_.reserve(cfg_.num_mss);
     for (std::uint32_t lane = 0; lane < cfg_.num_mss; ++lane) {
       lane_rngs_.emplace_back(lane_stream_seed(cfg_.seed, lane));
@@ -869,10 +814,6 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
       if (policy == SendPolicy::kNotifyIfDisconnected) {
         // The MSS holding the "disconnected" flag notifies the sender,
         // returning the undelivered body (L2's disconnect handling).
-        if (trace_enabled(sim::TraceLevel::kInfo)) {
-          log(sim::TraceLevel::kInfo, "search",
-              to_string(to) + " unreachable (disconnected at " + to_string(at) + ")");
-        }
         ++sl().stats.unreachable_notices;
         msg::UnreachableNotice notice{to, env.proto, env.body};
         send_wired(at, from, make_control(NodeRef(at), NodeRef(from), std::move(notice)));
@@ -1218,11 +1159,6 @@ void Network::on_mh_rejoined(MhId mh_id, MssId at) {
                              });
     }
   }
-}
-
-void Network::log(sim::TraceLevel level, std::string_view component, std::string text) {
-  if (sharded()) return;  // the shared text buffer is not thread-safe
-  trace_.log(sl().sched.now(), level, component, std::move(text));
 }
 
 }  // namespace mobidist::net

@@ -25,7 +25,6 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard.hpp"
-#include "sim/trace.hpp"
 
 namespace mobidist::net {
 
@@ -155,16 +154,6 @@ class Network {
   /// The system's root deterministic RNG stream (legacy engine; the
   /// sharded engine draws from per-lane streams internally).
   [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
-  /// Free-text trace (a rendering of the structured event stream);
-  /// empty in the sharded engine, whose canonical record is the merged
-  /// event stream.
-  [[nodiscard]] sim::Trace& trace() noexcept { return trace_; }
-  [[nodiscard]] const sim::Trace& trace() const noexcept { return trace_; }
-  /// Guard for log() call sites that build their text with string
-  /// concatenation: skip the formatting entirely when `level` is muted.
-  [[nodiscard]] bool trace_enabled(sim::TraceLevel level) const noexcept {
-    return !sharded() && trace_.enabled(level);
-  }
   /// The cost ledger metering every charged hop (the paper's C_* terms).
   /// Shard-local while a sharded run is in flight; after run() returns,
   /// every shard's charges are folded into the slice this returns.
@@ -546,11 +535,8 @@ class Network {
   /// on this MH and deliver messages parked while it was disconnected.
   void on_mh_rejoined(MhId mh, MssId at);
 
-  void log(sim::TraceLevel level, std::string_view component, std::string text);
-
   NetConfig cfg_;
   sim::Rng rng_;
-  sim::Trace trace_;
   /// One slice for the legacy engine, min(shards, num_mss) for the
   /// sharded one. unique_ptr so slice addresses (and the Counter&/
   /// Histogram& members inside) never move.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <sstream>
+#include <cstdio>
 #include <utility>
 
 namespace mobidist::obs {
@@ -84,96 +84,6 @@ std::optional<Entity> parse_entity(std::string_view text) noexcept {
   return Entity{kind, idx};
 }
 
-std::string describe(const Event& event) {
-  std::ostringstream os;
-  switch (event.kind) {
-    case EventKind::kSend:
-      os << "send " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " proto=" << event.arg;
-      break;
-    case EventKind::kRecv:
-      os << "recv " << to_string(event.entity) << " <- " << to_string(event.peer)
-         << " proto=" << event.arg;
-      break;
-    case EventKind::kDeliver:
-      os << "deliver " << to_string(event.entity) << " <- " << to_string(event.peer)
-         << " proto=" << event.arg;
-      break;
-    case EventKind::kHandoffBegin:
-      os << "handoff mh:" << event.arg << " begin " << to_string(event.peer) << " -> "
-         << to_string(event.entity);
-      break;
-    case EventKind::kHandoffEnd:
-      os << "handoff mh:" << event.arg << " end " << to_string(event.peer) << " -> "
-         << to_string(event.entity);
-      break;
-    case EventKind::kDisconnect:
-      os << "disconnect " << to_string(event.entity) << " at " << to_string(event.peer);
-      break;
-    case EventKind::kReconnect:
-      os << "reconnect " << to_string(event.entity) << " at " << to_string(event.peer);
-      break;
-    case EventKind::kSearchRound:
-      os << "locating " << to_string(event.peer) << " from " << to_string(event.entity)
-         << " round " << event.arg;
-      break;
-    case EventKind::kCsRequest:
-      os << "cs request " << to_string(event.entity);
-      break;
-    case EventKind::kCsEnter:
-      os << "cs enter " << to_string(event.entity);
-      break;
-    case EventKind::kCsExit:
-      os << "cs exit " << to_string(event.entity);
-      break;
-    case EventKind::kTokenDepart:
-      os << "token depart " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " val=" << event.arg;
-      break;
-    case EventKind::kTokenArrive:
-      os << "token arrive " << to_string(event.entity) << " val=" << event.arg;
-      break;
-    case EventKind::kLocationUpdate:
-      os << "location update " << to_string(event.entity) << " at " << to_string(event.peer);
-      break;
-    case EventKind::kViewChange:
-      os << "view change " << to_string(event.entity) << " version " << event.arg;
-      break;
-    case EventKind::kMsgDropped:
-      os << "drop " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " proto=" << event.arg;
-      break;
-    case EventKind::kMsgDuplicated:
-      os << "dup " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " proto=" << event.arg;
-      break;
-    case EventKind::kMssCrash:
-      os << "crash " << to_string(event.entity) << " down for " << event.arg;
-      break;
-    case EventKind::kMssRecover:
-      os << "recover " << to_string(event.entity);
-      break;
-    case EventKind::kPacketSend:
-      os << "packet send " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " msgs=" << event.arg;
-      break;
-    case EventKind::kPacketFlush:
-      os << "packet flush " << to_string(event.entity) << " <- " << to_string(event.peer)
-         << " msgs=" << event.arg;
-      break;
-    case EventKind::kReqForward:
-      os << "claim forward " << to_string(event.entity) << " -> " << to_string(event.peer)
-         << " origin=mss:" << event.arg;
-      break;
-    case EventKind::kPathReversal:
-      os << "path reversal " << to_string(event.entity) << " father -> "
-         << to_string(event.peer);
-      break;
-  }
-  if (!event.detail.empty()) os << " [" << event.detail << "]";
-  return os.str();
-}
-
 EventId EventStream::emit(sim::SimTime at, const Emit& spec) {
   // Steady state (warm interner, grown counters): stack Event, one hash
   // lookup, one 64-byte ring store — zero heap allocations.
@@ -196,8 +106,6 @@ EventId EventStream::emit(sim::SimTime at, const Emit& spec) {
       spec.cause_clock != 0 ? spec.cause_clock : lamport_of(ev.cause);
   st.clock = std::max(st.clock, cause_clock) + 1;
   ev.lamport = st.clock;
-
-  if (sink_) sink_(ev);
 
   binlog_.append(encode(ev, detail_id));
   return ev.id;
@@ -248,8 +156,6 @@ void EventStream::clear() {
 
 // --- export / import --------------------------------------------------------
 
-namespace {
-
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   for (const char c : text) {
@@ -271,6 +177,8 @@ void append_json_string(std::string& out, std::string_view text) {
   }
   out += '"';
 }
+
+namespace {
 
 /// Minimal field scanner for the flat single-line objects event_json
 /// produces: finds `"key":` at the top level and returns the raw value

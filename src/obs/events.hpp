@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -104,11 +103,6 @@ struct Event {
   std::string_view detail;   ///< kind-specific tag ("R2'", "broadcast", "L2", ...)
 };
 
-/// Human-readable one-liner ("token depart mss:0 -> mh:3 val=2 [R2']");
-/// this is what sim::Trace renders, making the free-text trace a thin
-/// view of the event stream.
-[[nodiscard]] std::string describe(const Event& event);
-
 /// Bounded, append-only stream of structured events for one simulated
 /// system. Owns id assignment, per-entity sequence numbers, and the
 /// per-entity Lamport clocks (advanced past the causal parent's clock on
@@ -156,13 +150,6 @@ class EventStream {
   /// Ambient causal parent for emissions that do not pass one
   /// explicitly; managed by CauseScope.
   [[nodiscard]] EventId current_cause() const noexcept { return current_cause_; }
-
-  /// Optional observer invoked for every emitted event before it is
-  /// buffered (the Network uses this to render events into sim::Trace).
-  /// The Event&'s detail views the stream's intern table.
-  using Sink = std::function<void(const Event&)>;
-  /// Install (or clear, with {}) the observer.
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
   /// Decode all retained events, oldest first. Ids are contiguous:
   /// snapshot().front().id == dropped() + 1. Detail views point into
@@ -218,7 +205,6 @@ class EventStream {
   std::vector<EntityState> mh_state_;
   EntityState none_state_;
   EventId current_cause_ = 0;
-  Sink sink_;
 };
 
 /// RAII ambient-cause marker: while alive, events emitted without an
@@ -242,6 +228,12 @@ class CauseScope {
 };
 
 // --- export / import --------------------------------------------------------
+
+/// Append `text` to `out` as a quoted JSON string literal, escaping
+/// quotes, backslashes, and control characters. The one JSON string
+/// escaper in the library: every artifact writer (event exporters, the
+/// exp sweep report, scenario serialization) goes through it.
+void append_json_string(std::string& out, std::string_view text);
 
 /// One event as a single-line JSON object with a fixed key order, so
 /// same-seed runs serialize byte-identically.

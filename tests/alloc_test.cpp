@@ -161,16 +161,14 @@ TEST(BodyAlloc, InlinePayloadsDoNotAllocate) {
 }
 
 // The binary-telemetry claim: with tracing ON (the binlog ring is the
-// stream's storage and an observer sink is attached), steady-state
-// emission is allocation-free. Steady state = the interner has seen
-// every distinct detail tag once and the per-entity counter vectors
-// have grown to the entity working set; after that, emit() is a hash
-// lookup, a stack Event, and a 64-byte ring store — including across
-// ring wrap, whose eviction is a plain overwrite.
+// stream's storage), steady-state emission is allocation-free. Steady
+// state = the interner has seen every distinct detail tag once and the
+// per-entity counter vectors have grown to the entity working set;
+// after that, emit() is a hash lookup, a stack Event, and a 64-byte
+// ring store — including across ring wrap, whose eviction is a plain
+// overwrite.
 TEST(EventStreamAlloc, SteadyStateEmitDoesNotAllocateWithTracingOn) {
   obs::EventStream stream(256);  // small ring: the gate spans many wraps
-  std::uint64_t sink_calls = 0;
-  stream.set_sink([&sink_calls](const obs::Event&) { ++sink_calls; });
 
   constexpr std::string_view kTags[] = {"R2'", "broadcast", "L1", ""};
   auto emit_round = [&](sim::SimTime base) {
@@ -193,7 +191,6 @@ TEST(EventStreamAlloc, SteadyStateEmitDoesNotAllocateWithTracingOn) {
   });
 
   EXPECT_EQ(count, 0u) << "steady-state emit allocated with tracing on";
-  EXPECT_EQ(sink_calls, 101u * 64u);
   EXPECT_GT(stream.dropped(), 0u) << "gate must cover ring wrap";
   EXPECT_EQ(stream.emitted(), 101u * 64u);
 }

@@ -5,6 +5,7 @@
 // the `sweep` ctest label so the TSan preset can select them.
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -398,6 +399,20 @@ TEST(ExpAggregate, FailedRunsAreExcludedFromStats) {
   ASSERT_EQ(cell.metrics.count("m"), 1u);
   EXPECT_DOUBLE_EQ(cell.metrics.at("m").mean, 20.0);
   EXPECT_EQ(cell.metrics.at("m").n, 2u);
+}
+
+TEST(ExpAggregate, GitShaPrefersTheEnvironmentVariable) {
+  const char* outer = std::getenv("MOBIDIST_GIT_SHA");
+  const bool had_outer = outer != nullptr;
+  const std::string saved = had_outer ? outer : "";
+  ::setenv("MOBIDIST_GIT_SHA", "abc1234", 1);
+  EXPECT_EQ(exp::resolve_git_sha(), "abc1234");
+  ::unsetenv("MOBIDIST_GIT_SHA");
+  // Otherwise git's short sha for the working directory (empty outside
+  // a checkout), without the trailing newline git prints.
+  const std::string sha = exp::resolve_git_sha();
+  EXPECT_EQ(sha.find_first_not_of("0123456789abcdef"), std::string::npos) << sha;
+  if (had_outer) ::setenv("MOBIDIST_GIT_SHA", saved.c_str(), 1);
 }
 
 // --- baseline regression gate ---------------------------------------------

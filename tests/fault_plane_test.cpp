@@ -2,11 +2,12 @@
 // zero-probability no-op guarantee, and exact crash/partition timing.
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/report.hpp"
 #include "fault/fault_plane.hpp"
 #include "test_support.hpp"
 
@@ -126,25 +127,64 @@ void run_workload(Network& net) {
   net.run();
 }
 
+/// Everything a finished run exposes to its artifacts, part by part:
+/// the event stream, scheduler work, the cost ledger, and every
+/// registry metric (an inert plane must not even register one).
+struct Observed {
+  std::string jsonl;
+  std::uint64_t emitted = 0;
+  std::uint64_t fired = 0;
+  std::string ledger;
+  std::string registry;
+
+  explicit Observed(const Network& net)
+      : jsonl(obs::to_jsonl(net.events())),
+        emitted(net.events().emitted()),
+        fired(net.sched().fired()) {
+    const auto& l = net.ledger();
+    const cost::CostParams params;
+    std::ostringstream ledger_text;
+    ledger_text << l.fixed_msgs() << ' ' << l.wired_packets() << ' ' << l.wireless_msgs()
+                << ' ' << l.searches() << ' ' << l.wireless_tx() << ' ' << l.wireless_rx()
+                << ' ' << l.total_energy(params);
+    ledger = ledger_text.str();
+    std::ostringstream metrics;
+    for (const auto& [name, counter] : net.metrics().counters()) {
+      metrics << name << '=' << counter.value() << '\n';
+    }
+    for (const auto& [name, gauge] : net.metrics().gauges()) {
+      metrics << name << '=' << gauge.value() << '\n';
+    }
+    for (const auto& [name, hist] : net.metrics().histograms()) {
+      metrics << name << '=' << hist.count() << '/' << hist.sum();
+      for (const auto bucket : hist.bucket_counts()) metrics << ' ' << bucket;
+      metrics << '\n';
+    }
+    registry = metrics.str();
+  }
+};
+
 TEST(FaultPlane, ZeroProbabilityProfileIsAPerfectNoOp) {
   NetConfig cfg = small_config();
   cfg.latency = LatencyConfig{};  // randomized latencies: rng_ draws matter
   cfg.search = SearchMode::kBroadcast;
 
-  core::BenchReport with_plane("noop");
-  core::BenchReport without_plane("noop");
-  {
-    Network net(cfg);
-    net.install_fault_plane(fault::FaultProfile{});
-    run_workload(net);
-    with_plane.add_run("run", net, cost::CostParams{});
-  }
-  {
-    Network net(cfg);
-    run_workload(net);
-    without_plane.add_run("run", net, cost::CostParams{});
-  }
-  EXPECT_EQ(with_plane.deterministic_json(), without_plane.deterministic_json());
+  Network with_plane(cfg);
+  with_plane.install_fault_plane(fault::FaultProfile{});
+  run_workload(with_plane);
+  Network without_plane(cfg);
+  run_workload(without_plane);
+
+  const Observed with(with_plane);
+  const Observed without(without_plane);
+  EXPECT_GT(without.emitted, 0u);
+  EXPECT_EQ(with.jsonl, without.jsonl);
+  EXPECT_EQ(with.emitted, without.emitted);
+  EXPECT_EQ(with.fired, without.fired);
+  EXPECT_EQ(with.ledger, without.ledger);
+  EXPECT_EQ(with.registry, without.registry);
+  ExpectCleanEventStream(with_plane);
+  ExpectCleanEventStream(without_plane);
 }
 
 TEST(FaultPlane, CrashScheduleFiresAtExactSimTimes) {

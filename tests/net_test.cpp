@@ -715,26 +715,33 @@ TEST(ReliableWireless, DuplicatedUplinkIsSuppressedExactlyOnce) {
 
 TEST(TraceInstrumentation, SubstrateEventsAreRecorded) {
   Network net(small_config(3, 6));
-  net.trace().set_min_level(sim::TraceLevel::kDebug);
   Harness h(net);
   net.start();
   net.mh(mh_id(0)).move_to(mss_id(1), 5);
   net.sched().schedule(50, [&] { net.mh(mh_id(2)).disconnect(); });
   net.sched().schedule(60, [&] { h.mss[0]->do_send_to_mh(mh_id(1), 1); });
   net.run();
-  EXPECT_GE(net.trace().count_containing("join mh:0"), 1u);
-  EXPECT_GE(net.trace().count_containing("leave mh:0"), 0u);  // may be implicit
-  EXPECT_GE(net.trace().count_containing("handoff mh:0"), 1u);
-  EXPECT_GE(net.trace().count_containing("disconnect mh:2"), 1u);
-  EXPECT_GE(net.trace().count_containing("locating mh:1"), 1u);
-}
-
-TEST(TraceInstrumentation, SilentAtDefaultLevel) {
-  Network net(small_config(3, 6));  // default min level kInfo
-  net.start();
-  net.mh(mh_id(0)).move_to(mss_id(1), 5);
-  net.run();
-  EXPECT_EQ(net.trace().count_containing("join"), 0u);  // debug-level records dropped
+  EXPECT_EQ(net.stats().joins, 1u);
+  EXPECT_EQ(net.stats().handoffs, 1u);
+  EXPECT_EQ(net.stats().disconnects, 1u);
+  // Each action is in the event stream, attributed to the right host.
+  const auto count = [&net](obs::EventKind kind, auto&& match) {
+    std::size_t n = 0;
+    net.events().for_each([&](const obs::Event& ev) {
+      if (ev.kind == kind && match(ev)) ++n;
+    });
+    return n;
+  };
+  EXPECT_EQ(count(obs::EventKind::kHandoffBegin,
+                  [](const obs::Event& ev) { return ev.arg == 0; }),  // arg = the MH
+            1u);
+  EXPECT_EQ(count(obs::EventKind::kDisconnect,
+                  [](const obs::Event& ev) { return ev.entity == obs::Entity::mh(2); }),
+            1u);
+  EXPECT_GE(count(obs::EventKind::kSearchRound,
+                  [](const obs::Event& ev) { return ev.peer == obs::Entity::mh(1); }),
+            1u);
+  ExpectCleanEventStream(net);
 }
 
 // --------------------------------------------------------------------------

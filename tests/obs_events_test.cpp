@@ -305,9 +305,8 @@ TEST(Checkers, PassOnRealRunAndStreamIsDeterministic) {
   EXPECT_EQ(first, second) << "same-seed runs must export byte-identical JSONL";
 }
 
-TEST(Trace, RendersEventStreamIntoTextTrace) {
+TEST(EventStream, RecordsTokenAndCriticalSectionEvents) {
   Network net(small_config(3, 6));
-  net.trace().set_min_level(sim::TraceLevel::kDebug);
   CsMonitor monitor;
   R2Mutex r2(net, monitor, RingVariant::kBasic);
   net.start();
@@ -315,8 +314,14 @@ TEST(Trace, RendersEventStreamIntoTextTrace) {
   net.sched().schedule(5, [&] { r2.start_token(1); });
   net.run();
   ExpectCleanEventStream(net);
-  EXPECT_GT(net.trace().count_containing("token depart"), 0u);
-  EXPECT_GT(net.trace().count_containing("cs enter"), 0u);
+  std::size_t departs = 0;
+  std::size_t enters = 0;
+  net.events().for_each([&](const obs::Event& ev) {
+    if (ev.kind == obs::EventKind::kTokenDepart) ++departs;
+    if (ev.kind == obs::EventKind::kCsEnter) ++enters;
+  });
+  EXPECT_GT(departs, 0u);
+  EXPECT_EQ(enters, 1u);  // one request, one grant
 }
 
 // --------------------------------------------------------------------------

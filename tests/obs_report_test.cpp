@@ -1,132 +1,21 @@
-// Metrics registry (src/obs) and JSON bench-artifact (core::BenchReport)
-// tests: metric semantics, registration rules, serializer validity, and
-// the byte-identical-for-identical-seeds determinism contract.
+// Metrics registry (src/obs) tests: metric semantics, registration
+// rules, and shard merging; plus the artifact-writing helpers every
+// BENCH_*/TRACE_* file goes through — the one JSON string escaper
+// (obs::append_json_string, behind exp::json::quote) and the
+// fail-loudly file writer (core::write_text_file).
 
 #include <gtest/gtest.h>
 
-#include <cstddef>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-#include "core/mobidist.hpp"
+#include "core/report.hpp"
+#include "exp/json.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
 
 namespace mobidist::test {
 namespace {
-
-using net::MhId;
-using net::MssId;
-using net::NetConfig;
-using net::Network;
-
-// --------------------------------------------------------------------------
-// A minimal JSON validator (objects/arrays/strings/numbers/literals),
-// enough to prove the serializer emits well-formed documents.
-// --------------------------------------------------------------------------
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (text_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool is_valid_json(const std::string& text) { return JsonChecker(text).valid(); }
 
 // --------------------------------------------------------------------------
 // Counter / Gauge / Histogram semantics
@@ -248,97 +137,26 @@ TEST(Histogram, MergeFromRequiresMatchingBounds) {
 }
 
 // --------------------------------------------------------------------------
-// JSON serialization
+// Artifact writing
 // --------------------------------------------------------------------------
 
 TEST(Json, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(core::json_escape("plain"), "plain");
-  EXPECT_EQ(core::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(core::json_escape("x\ny"), "x\\ny");
-  EXPECT_EQ(core::json_escape(std::string("\x01", 1)), "\\u0001");
+  using exp::json::quote;
+  EXPECT_EQ(quote("plain"), "\"plain\"");
+  EXPECT_EQ(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(quote("x\ny"), "\"x\\ny\"");
+  EXPECT_EQ(quote("x\ry"), "\"x\\ry\"");
+  EXPECT_EQ(quote("x\ty"), "\"x\\ty\"");
+  EXPECT_EQ(quote(std::string("\x01", 1)), "\"\\u0001\"");
+  std::string appended = "[";
+  obs::append_json_string(appended, "k");
+  EXPECT_EQ(appended, "[\"k\"");  // appends, never overwrites
 }
 
-TEST(Json, MetricsJsonIsValidAndNameOrdered) {
-  obs::Registry registry;
-  registry.counter("b.second").inc(2);
-  registry.counter("a.first").inc(1);
-  registry.gauge("g.depth").set(-4);
-  registry.histogram("h.lat", {1, 10}).record(5);
-  const std::string json = core::metrics_json(registry);
-  EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_LT(json.find("a.first"), json.find("b.second"));  // map iteration order
-  EXPECT_NE(json.find("\"g.depth\":-4"), std::string::npos);
-  EXPECT_NE(json.find("\"bounds\":[1,10]"), std::string::npos);
-}
-
-TEST(BenchReport, ArtifactIsValidJsonWithTimingSection) {
-  core::BenchReport report("unit");
-  report.note("k", "v");
-  Network net(NetConfig{});
-  net.start();
-  net.mh(MhId(0)).move_to(MssId(1), 5);
-  net.run();
-  report.add_run("run0", net, cost::CostParams{});
-  const std::string full = report.json();
-  EXPECT_TRUE(is_valid_json(full)) << full;
-  EXPECT_NE(full.find("\"name\":\"unit\""), std::string::npos);
-  EXPECT_NE(full.find("\"timing\":{\"wall_clock_ms\":"), std::string::npos);
-  // The deterministic body excludes timing entirely.
-  const std::string det = report.deterministic_json();
-  EXPECT_TRUE(is_valid_json(det)) << det;
-  EXPECT_EQ(det.find("timing"), std::string::npos);
-  EXPECT_EQ(det.find("wall_clock"), std::string::npos);
-}
-
-// --------------------------------------------------------------------------
-// Determinism: identical seeds => byte-identical metric serialization
-// --------------------------------------------------------------------------
-
-std::string run_and_serialize(std::uint64_t seed) {
-  NetConfig cfg;
-  cfg.num_mss = 4;
-  cfg.num_mh = 12;
-  cfg.search = net::SearchMode::kBroadcast;
-  cfg.latency.wired_min = 1;
-  cfg.latency.wired_max = 30;
-  cfg.seed = seed;
-  Network net(cfg);
-  mutex::CsMonitor monitor;
-  mutex::L2Mutex l2(net, monitor);
-  mobility::MobilityConfig mob;
-  mob.mean_pause = 20;
-  mob.max_moves_per_host = 3;
-  mobility::MobilityDriver driver(net, mob);
-  net.start();
-  driver.start();
-  for (std::uint32_t i = 0; i < 12; ++i) {
-    net.sched().schedule(1 + 2 * i, [&l2, i] { l2.request(MhId(i)); });
-  }
-  net.run();
-  core::BenchReport report("determinism");
-  report.add_run("run", net, cost::CostParams{});
-  return report.deterministic_json();
-}
-
-TEST(BenchReport, IdenticalSeedsSerializeByteIdentically) {
-  const std::string first = run_and_serialize(4242);
-  const std::string second = run_and_serialize(4242);
-  EXPECT_EQ(first, second);
-  EXPECT_TRUE(is_valid_json(first));
-  // ...and the registry actually recorded activity (not trivially empty).
-  EXPECT_NE(first.find("\"net.handoffs\":"), std::string::npos);
-  EXPECT_NE(first.find("mutex.cs_wait"), std::string::npos);
-}
-
-TEST(BenchReport, DifferentSeedsDiverge) {
-  EXPECT_NE(run_and_serialize(1), run_and_serialize(2));
-}
-
-TEST(BenchReport, WriteToMissingDirectoryThrows) {
-  ::setenv("MOBIDIST_BENCH_DIR", "/nonexistent/mobidist-bench-dir", 1);
-  core::BenchReport report("throws_on_bad_dir");
-  EXPECT_THROW((void)report.write(), std::runtime_error);
-  ::unsetenv("MOBIDIST_BENCH_DIR");
+TEST(WriteTextFile, MissingDirectoryThrows) {
+  EXPECT_THROW(
+      core::write_text_file("/nonexistent/mobidist-bench-dir/BENCH_x.json", "{}\n"),
+      std::runtime_error);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the discrete-event kernel: scheduler ordering/cancellation,
-// RNG determinism and distribution sanity, trace buffering.
+// RNG determinism and distribution sanity, and the shard-window protocol.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard.hpp"
-#include "sim/trace.hpp"
 
 namespace mobidist::sim {
 namespace {
@@ -333,66 +332,6 @@ TEST(Rng, FaultPlaneDrawsNeverPerturbTheNetworkStream) {
   EXPECT_EQ(got, expect);
   // The salted fault seed also never collides with the raw network seed.
   EXPECT_NE(fault::fault_stream_seed(777), 777u);
-}
-
-// --------------------------------------------------------------------------
-// Trace
-// --------------------------------------------------------------------------
-
-TEST(Trace, RecordsInOrder) {
-  Trace trace;
-  trace.log(1, TraceLevel::kInfo, "net", "a");
-  trace.log(2, TraceLevel::kInfo, "net", "b");
-  ASSERT_EQ(trace.records().size(), 2u);
-  EXPECT_EQ(trace.records()[0].text, "a");
-  EXPECT_EQ(trace.records()[1].text, "b");
-}
-
-TEST(Trace, DropsBelowMinLevel) {
-  Trace trace;
-  trace.set_min_level(TraceLevel::kWarn);
-  trace.log(1, TraceLevel::kInfo, "x", "quiet");
-  trace.log(2, TraceLevel::kError, "x", "loud");
-  ASSERT_EQ(trace.records().size(), 1u);
-  EXPECT_EQ(trace.records()[0].text, "loud");
-}
-
-TEST(Trace, BoundedCapacityKeepsMostRecent) {
-  Trace trace(3);
-  for (int i = 0; i < 10; ++i) {
-    trace.log(static_cast<SimTime>(i), TraceLevel::kInfo, "x", std::to_string(i));
-  }
-  ASSERT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.records()[0].text, "7");
-  EXPECT_EQ(trace.records()[2].text, "9");
-  EXPECT_EQ(trace.dropped(), 7u);
-}
-
-TEST(Trace, SinkReceivesAcceptedRecords) {
-  Trace trace;
-  int seen = 0;
-  trace.set_sink([&](const TraceRecord&) { ++seen; });
-  trace.set_min_level(TraceLevel::kWarn);
-  trace.log(1, TraceLevel::kInfo, "x", "below");
-  trace.log(2, TraceLevel::kWarn, "x", "at");
-  EXPECT_EQ(seen, 1);
-}
-
-TEST(Trace, CountContaining) {
-  Trace trace;
-  trace.log(1, TraceLevel::kInfo, "x", "token sent");
-  trace.log(2, TraceLevel::kInfo, "x", "token received");
-  trace.log(3, TraceLevel::kInfo, "x", "request");
-  EXPECT_EQ(trace.count_containing("token"), 2u);
-}
-
-TEST(Trace, FormatIncludesAllFields) {
-  TraceRecord rec{12, TraceLevel::kWarn, "mutex", "hello"};
-  const auto text = Trace::format(rec);
-  EXPECT_NE(text.find("t=12"), std::string::npos);
-  EXPECT_NE(text.find("WARN"), std::string::npos);
-  EXPECT_NE(text.find("mutex"), std::string::npos);
-  EXPECT_NE(text.find("hello"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

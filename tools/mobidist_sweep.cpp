@@ -50,24 +50,6 @@ std::string read_file(const std::string& path, std::string& error) {
   return buf.str();
 }
 
-/// Best-effort provenance: MOBIDIST_GIT_SHA wins (CI sets it), else ask
-/// git, else empty. Never fails the run.
-std::string resolve_git_sha() {
-  if (const char* env = std::getenv("MOBIDIST_GIT_SHA"); env != nullptr) return env;
-#if defined(_WIN32)
-  return {};
-#else
-  FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return {};
-  char buf[64] = {};
-  std::string sha;
-  if (std::fgets(buf, sizeof buf, pipe) != nullptr) sha = buf;
-  ::pclose(pipe);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
-  return sha;
-#endif
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,7 +142,7 @@ int main(int argc, char** argv) {
   report.jobs = runner.jobs();
   report.shards = shards;
   report.wall_clock_sec = std::chrono::duration<double>(t1 - t0).count();
-  report.git_sha = resolve_git_sha();
+  report.git_sha = exp::resolve_git_sha();
 
   const std::string body = deterministic ? report.deterministic_json() : report.json();
   if (out_path.empty()) {
