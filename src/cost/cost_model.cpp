@@ -1,9 +1,12 @@
 #include "cost/cost_model.hpp"
 
+#include <algorithm>
+
 namespace mobidist::cost {
 
 void CostLedger::charge_wireless(std::uint64_t mh_key, bool mh_transmitted) {
   ++wireless_msgs_;
+  if (mh_key >= per_mh_.size()) per_mh_.resize(mh_key + 1);
   auto& counts = per_mh_[mh_key];
   if (mh_transmitted) {
     ++wireless_tx_;
@@ -22,10 +25,9 @@ double CostLedger::total(const CostParams& p) const noexcept {
 }
 
 double CostLedger::energy_at(std::uint64_t mh_key, const CostParams& p) const noexcept {
-  const auto it = per_mh_.find(mh_key);
-  if (it == per_mh_.end()) return 0.0;
-  return static_cast<double>(it->second.tx) * p.energy_tx +
-         static_cast<double>(it->second.rx) * p.energy_rx;
+  if (mh_key >= per_mh_.size()) return 0.0;
+  return static_cast<double>(per_mh_[mh_key].tx) * p.energy_tx +
+         static_cast<double>(per_mh_[mh_key].rx) * p.energy_rx;
 }
 
 double CostLedger::total_energy(const CostParams& p) const noexcept {
@@ -34,9 +36,8 @@ double CostLedger::total_energy(const CostParams& p) const noexcept {
 }
 
 std::uint64_t CostLedger::wireless_hops_at(std::uint64_t mh_key) const noexcept {
-  const auto it = per_mh_.find(mh_key);
-  if (it == per_mh_.end()) return 0;
-  return it->second.tx + it->second.rx;
+  if (mh_key >= per_mh_.size()) return 0;
+  return per_mh_[mh_key].tx + per_mh_[mh_key].rx;
 }
 
 CostLedger CostLedger::delta_since(const CostLedger& baseline) const {
@@ -47,12 +48,11 @@ CostLedger CostLedger::delta_since(const CostLedger& baseline) const {
   d.searches_ = searches_ - baseline.searches_;
   d.wireless_tx_ = wireless_tx_ - baseline.wireless_tx_;
   d.wireless_rx_ = wireless_rx_ - baseline.wireless_rx_;
-  for (const auto& [key, counts] : per_mh_) {
-    EnergyCount base;
-    if (const auto it = baseline.per_mh_.find(key); it != baseline.per_mh_.end()) {
-      base = it->second;
-    }
-    d.per_mh_[key] = EnergyCount{counts.tx - base.tx, counts.rx - base.rx};
+  d.per_mh_ = per_mh_;
+  const auto shared = std::min(per_mh_.size(), baseline.per_mh_.size());
+  for (std::size_t key = 0; key < shared; ++key) {
+    d.per_mh_[key].tx -= baseline.per_mh_[key].tx;
+    d.per_mh_[key].rx -= baseline.per_mh_[key].rx;
   }
   return d;
 }
@@ -64,10 +64,10 @@ void CostLedger::merge_from(const CostLedger& other) {
   searches_ += other.searches_;
   wireless_tx_ += other.wireless_tx_;
   wireless_rx_ += other.wireless_rx_;
-  for (const auto& [key, counts] : other.per_mh_) {
-    auto& mine = per_mh_[key];
-    mine.tx += counts.tx;
-    mine.rx += counts.rx;
+  if (other.per_mh_.size() > per_mh_.size()) per_mh_.resize(other.per_mh_.size());
+  for (std::size_t key = 0; key < other.per_mh_.size(); ++key) {
+    per_mh_[key].tx += other.per_mh_[key].tx;
+    per_mh_[key].rx += other.per_mh_[key].rx;
   }
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 namespace mobidist::cost {
 
@@ -139,7 +139,8 @@ class CostLedger {
   std::uint64_t searches_ = 0;
   std::uint64_t wireless_tx_ = 0;
   std::uint64_t wireless_rx_ = 0;
-  std::map<std::uint64_t, EnergyCount> per_mh_;
+  /// Energy counts indexed by MH key, grown on a key's first charge.
+  std::vector<EnergyCount> per_mh_;
 };
 
 }  // namespace mobidist::cost

@@ -78,17 +78,16 @@ class NeighborModel final : public MobilityModel {
 
 class HotspotModel final : public MobilityModel {
  public:
-  HotspotModel(std::uint32_t m, double zipf_s) : m_(m), zipf_s_(zipf_s) {}
+  HotspotModel(std::uint32_t m, double zipf_s) : zipf_(m, zipf_s) {}
   MssId pick_target(const MoveContext& ctx) override {
     for (;;) {
-      const auto cell = static_cast<std::uint32_t>(ctx.rng.zipf(m_, zipf_s_));
+      const auto cell = static_cast<std::uint32_t>(zipf_.draw(ctx.rng));
       if (cell != net::index(ctx.current)) return static_cast<MssId>(cell);
     }
   }
 
  private:
-  std::uint32_t m_;
-  double zipf_s_;
+  sim::ZipfTable zipf_;
 };
 
 // --- random waypoint over a cell lattice -----------------------------------
@@ -153,11 +152,12 @@ class CommuterModel final : public MobilityModel {
     day_ticks_ = static_cast<std::uint64_t>(cfg.day_fraction *
                                             static_cast<double>(cfg.phase_period));
     sim::Rng priv(mix(seed, 0x636f6d6dULL));  // "comm"
+    const sim::ZipfTable work_zipf(m, cfg.zipf_s);
     home_.reserve(num_mh);
     work_.reserve(num_mh);
     for (std::uint32_t h = 0; h < num_mh; ++h) {
       const auto home = static_cast<std::uint32_t>(priv.below(m));
-      auto work = static_cast<std::uint32_t>(priv.zipf(m, cfg.zipf_s));
+      auto work = static_cast<std::uint32_t>(work_zipf.draw(priv));
       if (work == home) work = (home + 1) % m;
       home_.push_back(home);
       work_.push_back(work);

@@ -27,6 +27,26 @@ void Mss::start_agents() {
   for (auto& [proto, agent] : agents_) agent->on_start();
 }
 
+std::vector<MhId> Mss::local_mhs() const {
+  std::vector<MhId> local;
+  for (std::uint32_t i = 0; i < net_.num_mh(); ++i) {
+    if (is_local(static_cast<MhId>(i))) local.push_back(static_cast<MhId>(i));
+  }
+  return local;
+}
+
+bool Mss::is_local(MhId mh) const {
+  const auto* record = net_.find_cell_record(id_, mh);
+  return record != nullptr && record->local;
+}
+
+bool Mss::has_disconnected_flag(MhId mh) const {
+  const auto* record = net_.find_cell_record(id_, mh);
+  return record != nullptr && record->disconnected;
+}
+
+void Mss::place_local(MhId mh) { net_.enter_cell(id_, mh).local = true; }
+
 void Mss::dispatch(const Envelope& env) {
   if (env.proto == protocol::kSystem) {
     if (const auto* join = body_as<msg::Join>(env)) return handle_join(*join);
@@ -45,7 +65,7 @@ void Mss::dispatch(const Envelope& env) {
       return;
     }
     if (const auto* find = body_as<msg::FindDisconnect>(env)) {
-      msg::FindDisconnectReply reply{find->mh, id_, disconnected_.contains(find->mh)};
+      msg::FindDisconnectReply reply{find->mh, id_, has_disconnected_flag(find->mh)};
       net_.send_wired(id_, find->origin, make_control(NodeRef(id_), NodeRef(find->origin), reply));
       return;
     }
@@ -58,7 +78,7 @@ void Mss::dispatch(const Envelope& env) {
                    .peer = entity_of(found->from),
                    .arg = index(found->mh),
                    .detail = "reconnect"});
-        awaiting_handoff_in_.insert(found->mh);
+        net_.cell_record(id_, found->mh).awaiting_handoff_in = true;
         msg::HandoffRequest req{found->mh, id_, /*clears_disconnect=*/true};
         net_.send_wired(id_, found->from, make_control(NodeRef(id_), NodeRef(found->from), req));
       }
@@ -76,9 +96,10 @@ void Mss::dispatch(const Envelope& env) {
 }
 
 void Mss::handle_join(const msg::Join& join) {
-  local_.insert(join.mh);
+  auto& record = net_.enter_cell(id_, join.mh);
+  record.local = true;
   net_.mh(join.mh).complete_join(id_);
-  arrival_seq_[join.mh] = net_.mh(join.mh).joins_completed();
+  record.arrival = net_.mh(join.mh).joins_completed();
   auto& stats = net_.stats();
   ++stats.joins;
   if (join.reconnect) {
@@ -95,7 +116,7 @@ void Mss::handle_join(const msg::Join& join) {
                .entity = entity_of(id_),
                .peer = entity_of(join.prev_mss),
                .arg = index(join.mh)});
-    awaiting_handoff_in_.insert(join.mh);
+    record.awaiting_handoff_in = true;
     msg::HandoffRequest req{join.mh, id_, join.reconnect,
                             net_.mh(join.mh).joins_completed()};
     net_.send_wired(id_, join.prev_mss, make_control(NodeRef(id_), NodeRef(join.prev_mss), req));
@@ -119,27 +140,23 @@ void Mss::handle_join(const msg::Join& join) {
 void Mss::handle_leave(const msg::Leave& leave) {
   // A handoff request from the next cell may have overtaken this leave;
   // in that case the MH is already gone and the leave is stale.
-  if (!local_.contains(leave.mh)) return;
+  const auto& record = net_.cell_record(id_, leave.mh);
+  if (!record.local) return;
   // A leave retransmitted over the lossy wireless hop can also trail the
   // MH's re-join into this same cell (FIFO clamps the late copy behind
   // the join): the recorded arrival epoch being newer than the departure
   // this leave describes means the member here is alive, not leaving.
-  if (const auto it = arrival_seq_.find(leave.mh);
-      it != arrival_seq_.end() && it->second > leave.join_seq) {
-    return;
-  }
+  if (record.arrival > leave.join_seq) return;
   ++net_.stats().leaves;
   remove_local(leave.mh);
 }
 
 void Mss::handle_disconnect(const msg::Disconnect& disc) {
-  if (!local_.contains(disc.mh)) return;
+  auto& record = net_.cell_record(id_, disc.mh);
+  if (!record.local) return;
   // Same stale-retransmission guard as handle_leave: never set the
   // disconnected flag for a member whose re-join postdates this message.
-  if (const auto it = arrival_seq_.find(disc.mh);
-      it != arrival_seq_.end() && it->second > disc.join_seq) {
-    return;
-  }
+  if (record.arrival > disc.join_seq) return;
   net_.emit({.kind = obs::EventKind::kDisconnect,
              .entity = entity_of(disc.mh),
              .peer = entity_of(id_)});
@@ -147,16 +164,15 @@ void Mss::handle_disconnect(const msg::Disconnect& disc) {
   // Per §2: delete from the local list but set the "disconnected" flag;
   // the MH is still *located* here for search purposes, so agents get
   // on_mh_disconnected rather than on_mh_left.
-  local_.erase(disc.mh);
-  disconnected_.insert(disc.mh);
+  record.local = false;
+  record.disconnected = true;
   for (auto& [proto, agent] : agents_) agent->on_mh_disconnected(disc.mh);
 }
 
 void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
-  if (local_.contains(req.mh)) {
-    const auto it = arrival_seq_.find(req.mh);
-    const std::uint64_t arrived = it == arrival_seq_.end() ? 0 : it->second;
-    if (req.join_seq > arrived) {
+  auto& record = net_.cell_record(id_, req.mh);
+  if (record.local) {
+    if (req.join_seq > record.arrival) {
       // The request overtook the MH's leave(): treat it as the leave.
       ++net_.stats().leaves;
       remove_local(req.mh);
@@ -165,12 +181,13 @@ void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
     // newer than the departure this request describes): keep it local
     // but still answer with state so the requester can unblock.
   }
-  if (req.clears_disconnect && disconnected_.erase(req.mh) > 0) {
+  if (req.clears_disconnect && record.disconnected) {
+    record.disconnected = false;
     for (auto& [proto, agent] : agents_) {
       agent->on_disconnected_mh_migrated(req.mh, req.new_mss);
     }
   }
-  if (awaiting_handoff_in_.contains(req.mh)) {
+  if (record.awaiting_handoff_in) {
     // We have not yet received this MH's state from *its* previous MSS;
     // answering now would drop that state. Defer until it lands.
     deferred_handoff_requests_[req.mh] = req;
@@ -193,7 +210,7 @@ void Mss::handle_handoff_state(const msg::HandoffState& state) {
              .entity = entity_of(id_),
              .peer = entity_of(state.prev_mss),
              .arg = index(state.mh)});
-  awaiting_handoff_in_.erase(state.mh);
+  net_.cell_record(id_, state.mh).awaiting_handoff_in = false;
   for (const auto& [proto, blob] : state.state) {
     if (auto* target = agent(proto)) target->on_handoff_in(state.mh, state.prev_mss, blob);
   }
@@ -212,7 +229,7 @@ void Mss::handle_relay(const Envelope& env) {
 }
 
 void Mss::remove_local(MhId mh) {
-  local_.erase(mh);
+  net_.cell_record(id_, mh).local = false;
   for (auto& [proto, agent] : agents_) agent->on_mh_left(mh);
 }
 

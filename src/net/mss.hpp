@@ -3,7 +3,6 @@
 #include <any>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/agent.hpp"
@@ -15,10 +14,11 @@ namespace mobidist::net {
 
 class Network;
 
-/// A mobile support station (fixed host). Owns the cell bookkeeping of
-/// Section 2: the local-MH list, per-MH "disconnected" flags, and the
-/// join/leave/handoff control protocol. Algorithm behaviour is supplied
-/// by registered MssAgent instances.
+/// A mobile support station (fixed host). Runs the join/leave/handoff
+/// control protocol of Section 2 over its cell's bookkeeping: the
+/// local-MH list and per-MH "disconnected" flags, which live in the
+/// Network's per-slice cell records. Algorithm behaviour is supplied by
+/// registered MssAgent instances.
 class Mss {
  public:
   Mss(Network& net, MssId id);
@@ -35,20 +35,15 @@ class Mss {
   /// The agent registered for `proto`; nullptr if none.
   [[nodiscard]] MssAgent* agent(ProtocolId proto) const noexcept;
 
-  /// MHs currently local to this cell.
-  [[nodiscard]] const std::set<MhId>& local_mhs() const noexcept { return local_; }
+  /// MHs currently local to this cell, in ascending id order. Scans
+  /// every MH: meant for setup and verification, not the hot path.
+  [[nodiscard]] std::vector<MhId> local_mhs() const;
   /// True when `mh` is currently local to this cell.
-  [[nodiscard]] bool is_local(MhId mh) const noexcept { return local_.contains(mh); }
+  [[nodiscard]] bool is_local(MhId mh) const;
 
-  /// MHs that disconnected while local to this cell and have not yet
-  /// reconnected elsewhere.
-  [[nodiscard]] bool has_disconnected_flag(MhId mh) const noexcept {
-    return disconnected_.contains(mh);
-  }
-  /// All MHs carrying a "disconnected" flag in this cell.
-  [[nodiscard]] const std::set<MhId>& disconnected_flags() const noexcept {
-    return disconnected_;
-  }
+  /// True when `mh` disconnected while local to this cell and has not
+  /// yet reconnected elsewhere.
+  [[nodiscard]] bool has_disconnected_flag(MhId mh) const;
 
   /// Inbound envelope dispatch (wired or wireless). Substrate protocols
   /// (kSystem control, kRelay) are handled here; everything else goes to
@@ -60,7 +55,7 @@ class Mss {
 
   /// Direct placement during setup (no protocol traffic); also used by
   /// tests to build fixtures.
-  void place_local(MhId mh) { local_.insert(mh); }
+  void place_local(MhId mh);
 
  private:
   friend class Network;
@@ -81,18 +76,12 @@ class Mss {
 
   Network& net_;
   MssId id_;
-  std::set<MhId> local_;
-  std::set<MhId> disconnected_;
-  /// joins_completed() value at each MH's latest arrival here; used to
-  /// detect handoff requests that a returning MH has already outrun.
-  std::map<MhId, std::uint64_t> arrival_seq_;
   // Deterministic iteration order matters: joins/leaves notify agents in
   // ascending protocol id.
   std::map<ProtocolId, std::shared_ptr<MssAgent>> agents_;
   // Handoff races: a HandoffRequest that arrives while we are still
-  // waiting for this MH's state from *its* previous MSS is deferred
-  // until that state lands.
-  std::set<MhId> awaiting_handoff_in_;
+  // waiting for this MH's state from *its* previous MSS (the record's
+  // awaiting_handoff_in flag) is deferred until that state lands.
   std::map<MhId, msg::HandoffRequest> deferred_handoff_requests_;
 };
 

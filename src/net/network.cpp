@@ -50,7 +50,9 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   const std::uint32_t slice_count = sharded() ? std::min(cfg_.shards, cfg_.num_mss) : 1;
   slices_.reserve(slice_count);
   for (std::uint32_t i = 0; i < slice_count; ++i) {
-    slices_.push_back(std::make_unique<ShardSlice>());
+    auto& slice = *slices_.emplace_back(std::make_unique<ShardSlice>());
+    slice.wired_clocks.assign(std::size_t{cfg_.num_mss} * cfg_.num_mss, 0);
+    slice.first_record.assign(cfg_.num_mh, kNoRecord);
   }
   if (!cfg_.formation.passthrough()) {
     if (cfg_.formation.max_packet_msgs == 0) {
@@ -270,23 +272,62 @@ sim::Duration Network::sample(std::uint32_t lane, sim::Duration lo, sim::Duratio
   return lo + run_rng(lane).below(hi - lo + 1);
 }
 
-sim::SimTime Network::fifo_arrival(ChannelType type, std::uint32_t a, std::uint32_t b,
+sim::SimTime Network::fifo_arrival(sim::SimTime& clock, ChannelType type,
                                    sim::Duration latency) {
-  return fifo_arrival(sl().channels[channel_key(type, a, b)], type, latency);
-}
-
-sim::SimTime Network::fifo_arrival(ChannelState& ch, ChannelType type, sim::Duration latency) {
   auto& slice = sl();
   const sim::SimTime natural = slice.sched.now() + latency;
   sim::SimTime arrival = natural;
-  if (arrival < ch.fifo_clock) arrival = ch.fifo_clock;  // never overtake an earlier message
-  ch.fifo_clock = arrival;
+  if (arrival < clock) arrival = clock;  // never overtake an earlier message
+  clock = arrival;
   switch (type) {
     case ChannelType::kWired: slice.queue_delay_wired.record(arrival - natural); break;
     case ChannelType::kDownlink: slice.queue_delay_downlink.record(arrival - natural); break;
     case ChannelType::kUplink: slice.queue_delay_uplink.record(arrival - natural); break;
   }
   return arrival;
+}
+
+std::uint32_t& Network::record_link(ShardSlice& slice, MssId cell, MhId mh) {
+  std::uint32_t* link = &slice.first_record[index(mh)];
+  while (*link != kNoRecord) {
+    if (slice.record(*link).cell == cell) return *link;
+    link = &slice.record(*link).next;
+  }
+  if (slice.record_count % ShardSlice::kRecordBlock == 0) {
+    slice.record_blocks.push_back(std::make_unique<CellRecord[]>(ShardSlice::kRecordBlock));
+  }
+  *link = slice.record_count++;
+  slice.record(*link).cell = cell;
+  return *link;
+}
+
+Network::CellRecord& Network::cell_record(MssId cell, MhId mh) {
+  auto& slice = *slices_[shard_of(index(cell))];
+  return slice.record(record_link(slice, cell, mh));
+}
+
+const Network::CellRecord* Network::find_cell_record(MssId cell, MhId mh) const {
+  const auto& slice = *slices_[shard_of(index(cell))];
+  for (auto i = slice.first_record[index(mh)]; i != kNoRecord; i = slice.record(i).next) {
+    if (slice.record(i).cell == cell) return &slice.record(i);
+  }
+  return nullptr;
+}
+
+Network::CellRecord& Network::enter_cell(MssId cell, MhId mh) {
+  auto& slice = *slices_[shard_of(index(cell))];
+  auto& head = slice.first_record[index(mh)];
+  auto& link = record_link(slice, cell, mh);
+  const auto i = link;
+  auto& record = slice.record(i);
+  if (&link != &head) {
+    // Unlink and push on the front; the cell the MH just left becomes
+    // second, where its trailing uplink retransmissions look it up.
+    link = record.next;
+    record.next = head;
+    head = i;
+  }
+  return record;
 }
 
 void Network::send_wired(MssId from, MssId to, Envelope env) {
@@ -312,7 +353,7 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
   if (!env.control) sl().ledger.charge_fixed();
   auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
   if (fault_) latency += fault_->draw_wired_spike();
-  const auto arrival = fifo_arrival(ChannelType::kWired, index(from), index(to), latency);
+  const auto arrival = fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -437,7 +478,7 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   const auto channel =
       channel_key(ChannelType::kWired, index(packet.from), index(packet.to));
   const auto arrival =
-      fifo_arrival(ChannelType::kWired, index(packet.from), index(packet.to), latency);
+      fifo_arrival(wired_clock(packet.from, packet.to), ChannelType::kWired, latency);
   const auto packet_id = emit({.kind = obs::EventKind::kPacketSend,
                                .entity = entity_of(packet.from),
                                .peer = entity_of(packet.to),
@@ -583,10 +624,6 @@ bool WseqDedup::deliver(std::uint64_t wseq) {
   return true;
 }
 
-bool Network::dedup_deliver(ChannelState& ch, std::uint64_t wseq) {
-  return ch.dedup.deliver(wseq);
-}
-
 void Network::send_wireless_downlink(MssId from, Envelope env, MhId to,
                                      FailCallback on_fail) {
   downlink_attempt(from, std::move(env), to, std::move(on_fail), 0, 0);
@@ -608,7 +645,7 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
     return;
   }
   const auto channel = channel_key(ChannelType::kDownlink, index(from), index(to));
-  auto& chan = sl().channels[channel];
+  auto& chan = cell_record(from, to).downlink;
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -653,7 +690,7 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
           .channel = channel,
           .arg = env.proto});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kDownlink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, latency);
   sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, wseq, env,
                                    on_fail = std::move(on_fail)]() mutable {
     deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env),
@@ -662,7 +699,8 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kDownlink, copy_latency);
+    const auto copy_arrival =
+        fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, copy_latency);
     // No on_fail on the copy: it is link-layer noise, and resurrecting an
     // already-delivered frame through the retry path would ghost-deliver.
     sl().sched.schedule_at(copy_arrival, [this, from, to, send_id, channel, wseq,
@@ -683,7 +721,7 @@ void Network::deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
     if (on_fail) on_fail(env);
     return;
   }
-  if (!dedup_deliver(sl().channels[channel], wseq)) {
+  if (!cell_record(from, to).downlink.dedup.deliver(wseq)) {
     // A link-layer copy of a frame this MH already consumed: silently
     // suppressed, its send stays unconsumed in the stream.
     ++sl().stats.dup_suppressed;
@@ -719,7 +757,7 @@ void Network::send_wireless_uplink(MhId from, Envelope env) {
 void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
                              std::uint32_t attempt, std::uint64_t wseq) {
   const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = sl().channels[channel];
+  auto& chan = cell_record(target, from).uplink;
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -771,9 +809,9 @@ void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_
           .channel = channel,
           .arg = env.proto});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kUplink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
   auto deliver = [this, from, target, send_id, channel, wseq](Envelope frame) {
-    if (!dedup_deliver(sl().channels[channel], wseq)) {
+    if (!cell_record(target, from).uplink.dedup.deliver(wseq)) {
       ++sl().stats.dup_suppressed;
       return;
     }
@@ -790,7 +828,7 @@ void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kUplink, copy_latency);
+    const auto copy_arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
     sl().sched.schedule_at(copy_arrival,
                            [deliver, env = std::move(env)]() mutable { deliver(std::move(env)); });
   }
@@ -860,7 +898,7 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
       if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
       auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
       if (fault_) latency += fault_->draw_wired_spike();
-      const auto arrival = fifo_arrival(ChannelType::kWired, index(from), index(at), latency);
+      const auto arrival = fifo_arrival(wired_clock(from, at), ChannelType::kWired, latency);
       const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
       const auto fwd_id = emit({.kind = obs::EventKind::kSend,
                                 .entity = entity_of(from),
@@ -1068,7 +1106,7 @@ void Network::submit_join(MhId from, MssId target, msg::Join join) {
 void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
                            std::uint64_t wseq) {
   const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = sl().channels[channel];
+  auto& chan = cell_record(target, from).uplink;
   if (attempt == 0) wseq = ++chan.next_wseq;
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -1110,9 +1148,9 @@ void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_
           .channel = channel,
           .arg = protocol::kSystem});
   }
-  const auto arrival = fifo_arrival(chan, ChannelType::kUplink, latency);
+  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
   auto deliver = [this, from, target, send_id, channel, wseq, join]() {
-    if (!dedup_deliver(sl().channels[channel], wseq)) {
+    if (!cell_record(target, from).uplink.dedup.deliver(wseq)) {
       ++sl().stats.dup_suppressed;
       return;
     }
@@ -1130,7 +1168,7 @@ void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_
   if (duplicated) {
     const auto copy_latency =
         fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan, ChannelType::kUplink, copy_latency);
+    const auto copy_arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
     sl().sched.schedule_at(copy_arrival, deliver);
   }
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -366,25 +365,46 @@ class Network {
     MssId disconnected_at = kInvalidMss;
   };
 
-  /// Everything keyed by channel lives in one map so the per-message
-  /// hot path does a single hash lookup. `fifo_clock` clamps arrivals
-  /// (never decrease per ordered channel); `next_wseq` is the
-  /// sender-side logical frame number for wireless channels; `dedup` is
-  /// the receiver-side duplicate suppression window (see WseqDedup).
+  /// One wireless channel's state. `fifo_clock` clamps arrivals (never
+  /// decrease per ordered channel); `next_wseq` is the sender-side
+  /// logical frame number; `dedup` is the receiver-side duplicate
+  /// suppression window (see WseqDedup).
   struct ChannelState {
     sim::SimTime fifo_clock = 0;
     std::uint64_t next_wseq = 0;
     WseqDedup dedup;
   };
 
+  /// End of a MH's record list (see CellRecord::next).
+  static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+
+  /// Everything §2 keeps for one MH at one cell: its wireless channel
+  /// pair and the cell's bookkeeping flags for it. Records are never
+  /// freed, so a MH that has talked to k cells keeps k of them.
+  struct CellRecord {
+    MssId cell = kInvalidMss;
+    /// Pool index of the MH's next record in this slice, or kNoRecord.
+    std::uint32_t next = kNoRecord;
+    bool local = false;             ///< in the cell's local-MH list
+    bool disconnected = false;      ///< carries the cell's "disconnected" flag
+    /// A HandoffRequest that arrives while the MH's state from *its*
+    /// previous MSS is still due is deferred until that state lands.
+    bool awaiting_handoff_in = false;
+    /// joins_completed() at the MH's latest arrival here; read only while
+    /// `local`, to detect leaves and handoff requests the MH has outrun.
+    std::uint64_t arrival = 0;
+    ChannelState downlink;
+    ChannelState uplink;
+  };
+
   /// Everything one shard owns and touches from its own thread during a
   /// run: event queue, measurement state (ledger / metrics / stats /
-  /// event ring), FIFO channel clocks, and the formation queues of the
-  /// MSSs it hosts. The legacy engine is exactly one slice driven by
-  /// the calling thread; the sharded engine is min(shards, num_mss)
-  /// slices driven by sim::ShardGroup. Per-slice ownership is what
-  /// makes emit and every cost charge allocation- and contention-free
-  /// under parallel execution.
+  /// event ring), FIFO channel state, the cell records of the MSSs it
+  /// hosts, and their formation queues. The legacy engine is exactly
+  /// one slice driven by the calling thread; the sharded engine is
+  /// min(shards, num_mss) slices driven by sim::ShardGroup. Per-slice
+  /// ownership is what makes emit and every cost charge allocation- and
+  /// contention-free under parallel execution.
   struct ShardSlice {
     sim::Scheduler sched;
     cost::CostLedger ledger;
@@ -412,7 +432,27 @@ class Network {
         metrics.counter("net.formation.deadline_flushes");
     obs::Counter& formation_barrier_flushes =
         metrics.counter("net.formation.barrier_flushes");
-    std::unordered_map<std::uint64_t, ChannelState> channels;
+    /// FIFO clocks of the wired channels this slice sends on, row-major
+    /// M x M by (from, to). Wired channels need no wseq or dedup.
+    std::vector<sim::SimTime> wired_clocks;
+    /// Records per pool block.
+    static constexpr std::uint32_t kRecordBlock = 256;
+    /// The records of the cells this slice hosts, in creation order, in
+    /// fixed-size blocks: a record never moves, and none is freed before
+    /// the slice is, so mobility leaves no holes in the heap.
+    std::vector<std::unique_ptr<CellRecord[]>> record_blocks;
+    std::uint32_t record_count = 0;
+    /// Indexed by MH id: the pool index of the MH's first record here,
+    /// kNoRecord when it has none. The rest chain through
+    /// CellRecord::next, the current cell's record first.
+    std::vector<std::uint32_t> first_record;
+
+    [[nodiscard]] CellRecord& record(std::uint32_t i) noexcept {
+      return record_blocks[i / kRecordBlock][i % kRecordBlock];
+    }
+    [[nodiscard]] const CellRecord& record(std::uint32_t i) const noexcept {
+      return record_blocks[i / kRecordBlock][i % kRecordBlock];
+    }
     /// Wired batching queues of this slice's MSSs; null in passthrough
     /// mode so the unbatched wire path never even consults it.
     std::unique_ptr<FormationLayer> formation;
@@ -449,13 +489,30 @@ class Network {
 
   std::uint64_t run_sharded(std::uint64_t event_limit);
 
-  // FIFO clamping: per ordered channel, arrivals never decrease.
-  [[nodiscard]] sim::SimTime fifo_arrival(ChannelType type, std::uint32_t a, std::uint32_t b,
+  /// FIFO clamping: per ordered channel, arrivals never decrease.
+  /// `clock` is the channel's FIFO clock; `type` picks the queue-delay
+  /// histogram the clamp is recorded in.
+  [[nodiscard]] sim::SimTime fifo_arrival(sim::SimTime& clock, ChannelType type,
                                           sim::Duration latency);
-  /// Same, against an already-looked-up channel state (one hash lookup
-  /// per message instead of one per bookkeeping field).
-  [[nodiscard]] sim::SimTime fifo_arrival(ChannelState& ch, ChannelType type,
-                                          sim::Duration latency);
+  /// The calling slice's FIFO clock for the wired channel from -> to.
+  [[nodiscard]] sim::SimTime& wired_clock(MssId from, MssId to) noexcept {
+    return sl().wired_clocks[std::size_t{index(from)} * cfg_.num_mss + index(to)];
+  }
+
+  /// The record `cell` keeps for `mh`, created on first use. It lives in
+  /// the slice hosting the cell, whichever thread asks: during a run
+  /// that is the cell's own shard, before and after it the main thread.
+  /// Records never move, so the reference stays valid.
+  [[nodiscard]] CellRecord& cell_record(MssId cell, MhId mh);
+  /// Same lookup without creating; nullptr when `cell` has no record.
+  [[nodiscard]] const CellRecord* find_cell_record(MssId cell, MhId mh) const;
+  /// cell_record(), moved to the front of the MH's list: the MH has just
+  /// become local to `cell`, so its next lookups hit on one comparison.
+  CellRecord& enter_cell(MssId cell, MhId mh);
+  /// The link (list head or a record's `next`) holding the pool index of
+  /// `cell`'s record for `mh` in `slice`; appends a record when `cell`
+  /// has none.
+  [[nodiscard]] static std::uint32_t& record_link(ShardSlice& slice, MssId cell, MhId mh);
 
   /// One latency draw from the stream owned by `lane` (the sender's
   /// lane, so the draw sequence is a per-lane pure function).
@@ -571,10 +628,6 @@ class Network {
   bool started_ = false;
 
   std::unique_ptr<fault::FaultPlane> fault_;
-
-  [[nodiscard]] ChannelState& channel_state(std::uint64_t key) { return sl().channels[key]; }
-  /// Receiver-side duplicate suppression; true = first delivery of wseq.
-  [[nodiscard]] static bool dedup_deliver(ChannelState& ch, std::uint64_t wseq);
 };
 
 }  // namespace mobidist::net

@@ -76,23 +76,29 @@ bool Rng::chance(double p) noexcept {
   return uniform01() < p;
 }
 
-std::uint64_t Rng::zipf(std::uint64_t n, double s) noexcept {
-  assert(n > 0);
-  if (n == 1) return 0;
-  // Inverse-CDF over the (small-n) harmonic weights; n here is a cell or
-  // host count, so the linear scan is fine.
-  double total = 0.0;
-  for (std::uint64_t r = 0; r < n; ++r) total += 1.0 / std::pow(static_cast<double>(r + 1), s);
-  double target = uniform01() * total;
-  for (std::uint64_t r = 0; r < n; ++r) {
-    target -= 1.0 / std::pow(static_cast<double>(r + 1), s);
-    if (target <= 0.0) return r;
-  }
-  return n - 1;
-}
-
 Rng Rng::split() noexcept {
   return Rng(next());
+}
+
+ZipfTable::ZipfTable(std::uint64_t n, double s) {
+  assert(n > 0);
+  weights_.reserve(n);
+  for (std::uint64_t r = 0; r < n; ++r) {
+    weights_.push_back(1.0 / std::pow(static_cast<double>(r + 1), s));
+    total_ += weights_.back();
+  }
+}
+
+std::uint64_t ZipfTable::draw(Rng& rng) const noexcept {
+  if (weights_.size() == 1) return 0;
+  // Inverse-CDF over the harmonic weights; n is a cell or host count, so
+  // the linear scan is fine.
+  double target = rng.uniform01() * total_;
+  for (std::uint64_t r = 0; r < weights_.size(); ++r) {
+    target -= weights_[r];
+    if (target <= 0.0) return r;
+  }
+  return weights_.size() - 1;
 }
 
 }  // namespace mobidist::sim

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 namespace mobidist::sim {
 
@@ -36,16 +37,29 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p) noexcept;
 
-  /// Geometric-style Zipf sample in [0, n): rank r drawn with weight
-  /// 1/(r+1)^s. Used by hotspot mobility/workload generators.
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept;
-
   /// Fork an independent, deterministic child stream. Children of the
   /// same parent are distinct; the parent advances one step per spawn.
   Rng split() noexcept;
 
  private:
   std::array<std::uint64_t, 4> s_{};
+};
+
+/// Zipf distribution over ranks [0, n): rank r has weight 1/(r+1)^s.
+/// The weights are computed once per table, so a draw costs one
+/// uniform01() and an inverse-CDF scan. Used by the hotspot and
+/// commuter mobility models.
+class ZipfTable {
+ public:
+  /// Requires n > 0.
+  ZipfTable(std::uint64_t n, double s);
+
+  /// One rank drawn from `rng`; draws nothing when n == 1.
+  [[nodiscard]] std::uint64_t draw(Rng& rng) const noexcept;
+
+ private:
+  std::vector<double> weights_;
+  double total_ = 0.0;
 };
 
 }  // namespace mobidist::sim

@@ -1,17 +1,20 @@
 // Heap-allocation accounting for the simulation hot path. This suite
 // lives in its own binary because it replaces the global operator new /
 // delete with counting wrappers; the counters let tests assert that the
-// scheduler's schedule -> fire cycle and Body's small-buffer payloads
-// perform no heap traffic at steady state.
+// scheduler's schedule -> fire cycle, Body's small-buffer payloads and a
+// Network message round trip perform no heap traffic at steady state.
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/agent.hpp"
 #include "net/body.hpp"
+#include "net/network.hpp"
 #include "obs/events.hpp"
 #include "sim/scheduler.hpp"
 
@@ -257,6 +260,56 @@ TEST(EventStreamAlloc, SchedulerDrivenEmitDoesNotAllocateAfterWarmup) {
   });
   EXPECT_EQ(count, 0u) << "scheduler-driven emit hot path allocated";
   EXPECT_EQ(stream.emitted(), 101u * 64u);
+}
+
+/// Station half of the Network-level echo: answers every ping from a
+/// local MH over the downlink.
+class EchoStation : public net::MssAgent {
+ public:
+  void on_message(const net::Envelope& env) override {
+    if (const auto* value = net::body_as<std::uint64_t>(env)) send_local(env.src.mh(), *value);
+  }
+};
+
+/// Host half: pings its MSS over the uplink and counts the echoes.
+class EchoHost : public net::MhAgent {
+ public:
+  void on_message(const net::Envelope&) override { ++echoes; }
+  void ping() { send_uplink(std::uint64_t{7}); }
+  std::uint64_t echoes = 0;
+};
+
+// The dense per-host state claim: once every MH's cell record and
+// ledger slot exist (one warm-up round), an echo round trip through the
+// Network — uplink, MSS dispatch, downlink, ledger charge — allocates
+// nothing.
+TEST(NetworkAlloc, EchoRoundTripDoesNotAllocateAfterWarmup) {
+  net::NetConfig cfg;
+  cfg.num_mss = 4;
+  cfg.num_mh = 64;
+  net::Network net(cfg);
+  for (std::uint32_t s = 0; s < cfg.num_mss; ++s) {
+    net.mss(static_cast<net::MssId>(s))
+        .register_agent(net::protocol::kUserBase, std::make_shared<EchoStation>());
+  }
+  std::vector<std::shared_ptr<EchoHost>> hosts;
+  for (std::uint32_t h = 0; h < cfg.num_mh; ++h) {
+    hosts.push_back(std::make_shared<EchoHost>());
+    net.mh(static_cast<net::MhId>(h)).register_agent(net::protocol::kUserBase, hosts.back());
+  }
+  auto one_round = [&] {
+    for (auto& host : hosts) host->ping();
+    net.run();
+  };
+
+  net.start();
+  one_round();  // warm-up: ledger slots, scheduler slots, event counters
+  const auto count = allocations_during([&] {
+    for (int round = 0; round < 100; ++round) one_round();
+  });
+  EXPECT_EQ(count, 0u) << "Network echo round trip allocated";
+  for (const auto& host : hosts) EXPECT_EQ(host->echoes, 101u);
+  EXPECT_EQ(net.ledger().wireless_msgs(), 2u * 64u * 101u);
 }
 
 }  // namespace

@@ -377,6 +377,18 @@ TEST(WseqDedup, OutOfOrderCatchUpDrainsAbove) {
   EXPECT_TRUE(d.above.empty());
 }
 
+// Why the parked wseqs are a set and not a 64-bit bitmap over the
+// floor: a parked wseq may sit any distance above the floor. A 64-wide
+// window would have to move its floor past 37 to hold 101, and would
+// then drop the late retransmission of frame 1 as a duplicate, losing
+// a message.
+TEST(WseqDedup, GapFrameFarBelowAParkedWseqStillDelivers) {
+  WseqDedup d;
+  EXPECT_TRUE(d.deliver(101));
+  EXPECT_TRUE(d.deliver(1));
+  EXPECT_EQ(d.floor, 1u);
+}
+
 TEST(WseqDedup, PermanentHoleNoLongerBalloonsParkedSet) {
   // The ballooning pattern: wseq 1 abandoned (never delivered), every
   // later frame delivered. Before the bound, `above` grew by one entry

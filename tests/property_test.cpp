@@ -6,8 +6,10 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "core/mobidist.hpp"
+#include "fault/fault_plane.hpp"
 #include "test_support.hpp"
 
 namespace mobidist::test {
@@ -127,19 +129,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChannelFifoProperty,
 
 class HandoffProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(HandoffProperty, LocalListsStayCoherentUnderChurn) {
-  auto cfg = small_config(6, 18);
-  cfg.latency.wired_min = 1;
-  cfg.latency.wired_max = 12;
-  cfg.seed = GetParam();
-  Network net(cfg);
-  Harness h(net);
+/// The churn both legs share: pauses, transits, and voluntary
+/// disconnects on a 6-cell, 18-host system.
+mobility::MobilityConfig churn_mobility() {
   mobility::MobilityConfig mob;
   mob.mean_pause = 25;
   mob.mean_transit = 6;
   mob.max_moves_per_host = 5;
   mob.disconnect_prob = 0.2;
   mob.mean_disconnect = 40;
+  return mob;
+}
+
+/// Run `mob` churn under `faults`, then check every cell's local list
+/// and "disconnected" flags against the MHs' own state. Returns the
+/// run's wireless retransmissions.
+std::uint64_t expect_coherent_local_lists(std::uint64_t seed,
+                                          const mobility::MobilityConfig& mob,
+                                          fault::FaultProfile faults) {
+  auto cfg = small_config(6, 18);
+  cfg.latency.wired_min = 1;
+  cfg.latency.wired_max = 12;
+  cfg.seed = seed;
+  Network net(cfg);
+  net.install_fault_plane(std::move(faults));
+  Harness h(net);
   mobility::MobilityDriver driver(net, mob);
   net.start();
   driver.start();
@@ -165,6 +179,25 @@ TEST_P(HandoffProperty, LocalListsStayCoherentUnderChurn) {
       }
     }
   }
+  return net.stats().retransmissions;
+}
+
+TEST_P(HandoffProperty, LocalListsStayCoherentUnderChurn) {
+  expect_coherent_local_lists(GetParam(), churn_mobility(), fault::FaultProfile{});
+}
+
+// Under loss a leave is retransmitted and can be overtaken by the next
+// cell's handoff request, which then stands in for it, or the MH can
+// bounce back before that request lands: races the arrival epoch in the
+// cell record decides. Short transits and more moves make them common.
+TEST_P(HandoffProperty, LocalListsStayCoherentUnderLossyChurn) {
+  auto mob = churn_mobility();
+  mob.mean_transit = 2;
+  mob.max_moves_per_host = 8;
+  fault::FaultProfile faults;
+  faults.wireless_loss = 0.2;
+  faults.wireless_dup = 0.1;
+  EXPECT_GT(expect_coherent_local_lists(GetParam(), mob, std::move(faults)), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HandoffProperty,

@@ -284,15 +284,48 @@ TEST(Rng, ChanceMatchesProbability) {
 
 TEST(Rng, ZipfFavoursLowRanks) {
   Rng rng(17);
+  const ZipfTable zipf(8, 1.0);
   std::array<int, 8> hist{};
-  for (int i = 0; i < 40000; ++i) ++hist[rng.zipf(8, 1.0)];
+  for (int i = 0; i < 40000; ++i) ++hist[zipf.draw(rng)];
   EXPECT_GT(hist[0], hist[3]);
   EXPECT_GT(hist[3], hist[7]);
 }
 
 TEST(Rng, ZipfSingletonIsZero) {
   Rng rng(17);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.zipf(1, 1.2), 0u);
+  const ZipfTable zipf(1, 1.2);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(zipf.draw(rng), 0u);
+  EXPECT_EQ(rng.next(), Rng(17).next()) << "a one-rank draw consumed randomness";
+}
+
+// The table must reproduce the per-draw formula it replaced bit for bit:
+// mobility traces and generated scenarios depend on every Zipf draw.
+TEST(Rng, ZipfTableMatchesThePerDrawFormula) {
+  // The replaced formula, which recomputed both weight sums per draw.
+  const auto reference = [](Rng& rng, std::uint64_t n, double s) -> std::uint64_t {
+    if (n == 1) return 0;
+    double total = 0.0;
+    for (std::uint64_t r = 0; r < n; ++r) total += 1.0 / std::pow(static_cast<double>(r + 1), s);
+    double target = rng.uniform01() * total;
+    for (std::uint64_t r = 0; r < n; ++r) {
+      target -= 1.0 / std::pow(static_cast<double>(r + 1), s);
+      if (target <= 0.0) return r;
+    }
+    return n - 1;
+  };
+  struct Case {
+    std::uint64_t n;
+    double s;
+  };
+  for (const auto& [n, s] : {Case{1, 1.2}, Case{2, 1.0}, Case{8, 1.0}, Case{66, 1.2},
+                             Case{64, 0.5}, Case{257, 2.0}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+    const ZipfTable table(n, s);
+    Rng by_table(n * 31 + 7);
+    Rng by_formula(n * 31 + 7);
+    for (int i = 0; i < 5000; ++i) ASSERT_EQ(table.draw(by_table), reference(by_formula, n, s));
+    EXPECT_EQ(by_table.next(), by_formula.next()) << "draw counts diverged";
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
