@@ -8,6 +8,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "obs/binlog.hpp"
 
@@ -193,6 +194,7 @@ std::string SweepReport::json() const {
   std::string out = "{";
   append_body(out, *this);
   out += ",\"provenance\":{\"git_sha\":" + json::quote(git_sha) +
+         ",\"hardware_concurrency\":" + std::to_string(std::thread::hardware_concurrency()) +
          ",\"jobs\":" + std::to_string(jobs) +
          ",\"shards\":" + std::to_string(shards) +
          ",\"wall_clock_sec\":" + num(wall_clock_sec) +

@@ -48,8 +48,9 @@ struct CellSummary {
 };
 
 /// The whole aggregated artifact: deterministic body plus optional
-/// provenance. deterministic_json() omits wall_clock/git_sha/jobs so the
-/// bytes are a pure function of the plan list and the simulation.
+/// provenance. deterministic_json() omits wall_clock/git_sha/jobs and the
+/// host's hardware_concurrency, so the bytes are a pure function of the
+/// plan list and the simulation.
 struct SweepReport {
   std::string name;
   std::vector<std::uint64_t> seeds;              ///< the grid's seed list

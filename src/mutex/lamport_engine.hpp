@@ -1,11 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 namespace mobidist::mutex {
@@ -62,11 +61,7 @@ class LamportEngine {
   /// Current Lamport logical clock value.
   [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
   /// Entries in the local view of the global request queue.
-  [[nodiscard]] std::size_t queue_size() const noexcept { return queue_.size(); }
-  /// True while this participant's request `req_id` is still queued.
-  [[nodiscard]] bool has_local_request(std::uint64_t req_id) const noexcept {
-    return index_.contains({self_, req_id});
-  }
+  [[nodiscard]] std::size_t queue_size() const noexcept { return queue_size_; }
   /// REQUEST messages sent by this participant (cost cross-checks).
   [[nodiscard]] std::uint64_t sent_requests() const noexcept { return sent_requests_; }
   /// REPLY messages sent by this participant (cost cross-checks).
@@ -75,26 +70,46 @@ class LamportEngine {
   [[nodiscard]] std::uint64_t sent_releases() const noexcept { return sent_releases_; }
 
  private:
-  struct Entry {
+  /// One queued request of a single origin.
+  struct Pending {
     std::uint64_t ts;
-    std::uint32_t origin;
     std::uint64_t req_id;
-    friend auto operator<=>(const Entry&, const Entry&) = default;
+  };
+  /// One origin's queued requests in timestamp order. Entries before
+  /// `head` are already removed; the prefix is reclaimed when the queue
+  /// empties or more than half of it is consumed.
+  struct OriginQueue {
+    std::vector<Pending> items;
+    std::size_t head = 0;
   };
 
+  /// Front timestamp of an empty origin queue; sorts after every request.
+  static constexpr std::uint64_t kNoRequest = std::numeric_limits<std::uint64_t>::max();
+
   void broadcast(const LamportMsg& msg);
+  void insert(std::uint32_t origin, std::uint64_t ts, std::uint64_t req_id);
+  /// Remove origin's request `req_id`; its timestamp, or nullopt if absent.
+  std::optional<std::uint64_t> erase(std::uint32_t origin, std::uint64_t req_id);
+  void rescan_head();
   void check_grant();
 
   std::uint32_t self_;
   std::uint32_t n_;
   std::uint64_t clock_ = 0;
-  std::set<Entry> queue_;
-  /// (origin, req_id) -> ts, so releases can find their entry.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> index_;
+  /// Lamport's global request queue, split into one FIFO per origin: an
+  /// origin stamps its requests with increasing clocks and channels are
+  /// FIFO, so each origin's requests arrive in timestamp order and the
+  /// global (ts, origin) order is a merge of the fronts (DESIGN §13).
+  std::vector<OriginQueue> queues_;
+  /// Timestamp at the front of each origin's queue; kNoRequest if empty.
+  std::vector<std::uint64_t> front_ts_;
+  /// Origin whose front request heads the global queue; n_ when empty.
+  std::uint32_t head_origin_;
+  std::size_t queue_size_ = 0;
   /// Highest clock value seen from each peer (self slot unused).
   std::vector<std::uint64_t> latest_ts_;
-  /// The local entry currently holding the lock, if any.
-  std::optional<Entry> granted_;
+  /// Timestamp of the local request currently holding the lock, if any.
+  std::optional<std::uint64_t> granted_;
   SendFn send_;
   AcquireFn on_acquired_;
   std::uint64_t sent_requests_ = 0;

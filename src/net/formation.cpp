@@ -7,7 +7,8 @@ namespace mobidist::net {
 
 void FormationLayer::enqueue(MssId from, MssId to, Item item) {
   assert(cfg_.max_packet_msgs >= 1 && "FormationConfig.max_packet_msgs must be >= 1");
-  auto& queue = queues_[key_of(from, to)];
+  const std::size_t slot = slot_of(from, to);
+  auto& queue = queues_[slot];
   const bool was_empty = queue.items.empty();
   queue.bytes += item.bytes;
   queue.items.push_back(std::move(item));
@@ -28,33 +29,23 @@ void FormationLayer::enqueue(MssId from, MssId to, Item item) {
     // First message into an idle pair: arm the deadline for this epoch.
     // A flush before the timer fires bumps the epoch and the timer
     // becomes a no-op; there is nothing to cancel.
-    const auto key = key_of(from, to);
     const auto epoch = queue.epoch;
-    sched_.schedule(cfg_.flush_deadline, [this, key, epoch, from, to] {
-      const auto it = queues_.find(key);
-      if (it == queues_.end() || it->second.epoch != epoch || it->second.items.empty()) {
+    sched_.schedule(cfg_.flush_deadline, [this, slot, epoch, from, to] {
+      auto& armed = queues_[slot];
+      if (armed.epoch != epoch || armed.items.empty()) {
         return;  // already flushed (or never refilled): stale timer
       }
       ++deadline_flushes_;
-      flush_queue(it->second, from, to, "deadline");
+      flush_queue(armed, from, to, "deadline");
     });
   }
 }
 
 void FormationLayer::flush_pair(MssId from, MssId to, const char* trigger) {
-  const auto it = queues_.find(key_of(from, to));
-  if (it == queues_.end() || it->second.items.empty()) return;
+  auto& queue = queues_[slot_of(from, to)];
+  if (queue.items.empty()) return;
   ++barrier_flushes_;
-  flush_queue(it->second, from, to, trigger);
-}
-
-void FormationLayer::flush_all(const char* trigger) {
-  for (auto& [key, queue] : queues_) {
-    if (queue.items.empty()) continue;
-    ++barrier_flushes_;
-    flush_queue(queue, static_cast<MssId>(static_cast<std::uint32_t>(key >> 32)),
-                static_cast<MssId>(static_cast<std::uint32_t>(key & 0xFFFFFFFFu)), trigger);
-  }
+  flush_queue(queue, from, to, trigger);
 }
 
 void FormationLayer::flush_queue(Queue& queue, MssId from, MssId to, const char* trigger) {

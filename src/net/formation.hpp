@@ -1,9 +1,9 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "net/envelope.hpp"
@@ -87,9 +87,15 @@ class FormationLayer {
   /// Transmit callback: put one formed packet on the wire.
   using TransmitFn = std::function<void(Packet)>;
 
-  /// cfg must have max_packet_msgs >= 1; sched outlives the layer.
-  FormationLayer(FormationConfig cfg, sim::Scheduler& sched, TransmitFn transmit)
-      : cfg_(cfg), sched_(sched), transmit_(std::move(transmit)) {}
+  /// cfg must have max_packet_msgs >= 1; the mesh has `num_mss`
+  /// stations; sched outlives the layer.
+  FormationLayer(FormationConfig cfg, std::uint32_t num_mss, sim::Scheduler& sched,
+                 TransmitFn transmit)
+      : cfg_(cfg),
+        num_mss_(num_mss),
+        sched_(sched),
+        transmit_(std::move(transmit)),
+        queues_(std::size_t{num_mss} * num_mss) {}
 
   /// Park one message on the (from,to) queue; flushes synchronously if
   /// the count or bytes trigger fires, otherwise arms the deadline timer
@@ -100,10 +106,6 @@ class FormationLayer {
   /// `trigger` labels the resulting packet event ("barrier" normally).
   void flush_pair(MssId from, MssId to, const char* trigger);
 
-  /// Flush every non-empty queue in deterministic (key) order; used to
-  /// drain at quiesce points and in tests.
-  void flush_all(const char* trigger);
-
   /// Messages accepted by enqueue() so far.
   [[nodiscard]] std::uint64_t msgs_enqueued() const noexcept { return msgs_enqueued_; }
   /// Packets handed to the transmit callback so far.
@@ -112,7 +114,7 @@ class FormationLayer {
   [[nodiscard]] std::uint64_t size_flushes() const noexcept { return size_flushes_; }
   /// Packets cut by the deadline timer.
   [[nodiscard]] std::uint64_t deadline_flushes() const noexcept { return deadline_flushes_; }
-  /// Packets cut by flush_pair / flush_all barriers.
+  /// Packets cut by flush_pair barriers.
   [[nodiscard]] std::uint64_t barrier_flushes() const noexcept { return barrier_flushes_; }
   /// Messages currently parked across all queues.
   [[nodiscard]] std::size_t pending_msgs() const noexcept { return pending_msgs_; }
@@ -124,17 +126,19 @@ class FormationLayer {
     std::uint64_t epoch = 0;  // bumped by every flush; disarms stale timers
   };
 
-  [[nodiscard]] static std::uint64_t key_of(MssId from, MssId to) noexcept {
-    return (static_cast<std::uint64_t>(index(from)) << 32) | index(to);
+  [[nodiscard]] std::size_t slot_of(MssId from, MssId to) const noexcept {
+    assert(index(from) < num_mss_ && index(to) < num_mss_);
+    return std::size_t{index(from)} * num_mss_ + index(to);
   }
 
   void flush_queue(Queue& queue, MssId from, MssId to, const char* trigger);
 
   FormationConfig cfg_;
+  std::uint32_t num_mss_;
   sim::Scheduler& sched_;
   TransmitFn transmit_;
-  // std::map so flush_all drains pairs in a deterministic order.
-  std::map<std::uint64_t, Queue> queues_;
+  /// One queue per ordered (from, to) pair, row-major by sender.
+  std::vector<Queue> queues_;
   std::uint64_t msgs_enqueued_ = 0;
   std::uint64_t packets_formed_ = 0;
   std::uint64_t size_flushes_ = 0;

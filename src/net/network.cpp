@@ -63,7 +63,7 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
     // timers, and flush all run on the thread that owns the sender.
     for (auto& slice : slices_) {
       slice->formation = std::make_unique<FormationLayer>(
-          cfg_.formation, slice->sched,
+          cfg_.formation, cfg_.num_mss, slice->sched,
           [this](FormationLayer::Packet packet) { transmit_packet(std::move(packet)); });
     }
   }

@@ -1,17 +1,20 @@
 // Heap-allocation accounting for the simulation hot path. This suite
 // lives in its own binary because it replaces the global operator new /
 // delete with counting wrappers; the counters let tests assert that the
-// scheduler's schedule -> fire cycle, Body's small-buffer payloads and a
-// Network message round trip perform no heap traffic at steady state.
+// scheduler's schedule -> fire cycle, Body's small-buffer payloads, a
+// Network message round trip and Lamport's request queue perform no heap
+// traffic at steady state.
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mutex/lamport_engine.hpp"
 #include "net/agent.hpp"
 #include "net/body.hpp"
 #include "net/network.hpp"
@@ -260,6 +263,66 @@ TEST(EventStreamAlloc, SchedulerDrivenEmitDoesNotAllocateAfterWarmup) {
   });
   EXPECT_EQ(count, 0u) << "scheduler-driven emit hot path allocated";
   EXPECT_EQ(stream.emitted(), 101u * 64u);
+}
+
+// The flat request-queue claim: once each origin's queue has grown to a
+// burst's depth, Lamport's request / reply / release traffic allocates
+// nothing. A node-based queue would allocate per request at every
+// participant.
+TEST(LamportEngineAlloc, SteadyStateBurstsDoNotAllocate) {
+  constexpr std::uint32_t kN = 4;
+  constexpr std::uint64_t kPerParticipant = 8;
+  struct InFlight {
+    std::uint32_t from;
+    std::uint32_t to;
+    mutex::LamportMsg msg;
+  };
+  std::vector<InFlight> delivering;
+  std::vector<InFlight> sent;
+  delivering.reserve(1024);
+  sent.reserve(1024);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> grants;  // (owner, req_id)
+  grants.reserve(kN * kPerParticipant);
+
+  std::vector<std::unique_ptr<mutex::LamportEngine>> engines;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    engines.push_back(std::make_unique<mutex::LamportEngine>(i, kN));
+    engines[i]->set_send([&sent, i](std::uint32_t peer, const mutex::LamportMsg& msg) {
+      sent.push_back({i, peer, msg});
+    });
+    engines[i]->set_on_acquired(
+        [&grants, i](std::uint64_t req_id, std::uint64_t) { grants.emplace_back(i, req_id); });
+  }
+
+  auto deliver_all = [&] {
+    while (!sent.empty()) {
+      delivering.swap(sent);  // swapping keeps both capacities
+      for (const auto& m : delivering) engines[m.to]->on_message(m.from, m.msg);
+      delivering.clear();
+    }
+  };
+  std::uint64_t next_req_id = 1;
+  auto burst = [&] {
+    grants.clear();
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      for (std::uint64_t k = 0; k < kPerParticipant; ++k) engines[i]->submit(next_req_id++);
+    }
+    deliver_all();
+    // Each release hands the lock on, which appends the next grant.
+    for (std::size_t g = 0; g < grants.size(); ++g) {
+      const auto [owner, req_id] = grants[g];
+      engines[owner]->release(req_id);
+      deliver_all();
+    }
+  };
+
+  burst();  // warm-up: grows each origin queue to the burst's depth
+  const auto count = allocations_during([&] {
+    for (int round = 0; round < 50; ++round) burst();
+  });
+  EXPECT_EQ(count, 0u) << "steady-state Lamport traffic allocated";
+  EXPECT_EQ(grants.size(), kN * kPerParticipant);
+  for (const auto& engine : engines) EXPECT_EQ(engine->queue_size(), 0u);
 }
 
 /// Station half of the Network-level echo: answers every ping from a

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,10 +143,10 @@ TEST(ExpScenario, EveryPatternNameRoundTripsThroughJson) {
 
 TEST(ExpScenario, UnknownMobilityPatternEnumeratesTheValidNames) {
   try {
-    exp::parse_scenario(R"({
+    static_cast<void>(exp::parse_scenario(R"({
       "name": "t", "workload": "mutex", "variant": "l2",
       "mobility": {"pattern": "teleport"}
-    })");
+    })"));
     FAIL() << "unknown pattern was accepted";
   } catch (const std::runtime_error& err) {
     const std::string message = err.what();
@@ -413,6 +414,17 @@ TEST(ExpAggregate, GitShaPrefersTheEnvironmentVariable) {
   const std::string sha = exp::resolve_git_sha();
   EXPECT_EQ(sha.find_first_not_of("0123456789abcdef"), std::string::npos) << sha;
   if (had_outer) ::setenv("MOBIDIST_GIT_SHA", saved.c_str(), 1);
+}
+
+TEST(ExpAggregate, HardwareConcurrencyIsProvenanceOnly) {
+  SweepReport report;
+  report.name = "t";
+  const auto full = exp::json::parse(report.json());
+  ASSERT_TRUE(full.has_value()) << report.json();
+  const auto* cores = full->at_path("provenance.hardware_concurrency");
+  ASSERT_NE(cores, nullptr) << report.json();
+  EXPECT_EQ(cores->as_u64(), std::thread::hardware_concurrency());
+  EXPECT_EQ(report.deterministic_json().find("hardware_concurrency"), std::string::npos);
 }
 
 // --- baseline regression gate ---------------------------------------------

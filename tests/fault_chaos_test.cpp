@@ -127,8 +127,12 @@ void sweep(Algo algo, const fault::FaultProfile& profile) {
   }
   // The sweep must have actually hurt: a silently inert plane would make
   // every liveness assertion above vacuous.
-  if (profile.wireless_loss > 0.0) EXPECT_GT(losses, 0.0);
-  if (profile.wireless_dup > 0.0) EXPECT_GT(dups, 0.0);
+  if (profile.wireless_loss > 0.0) {
+    EXPECT_GT(losses, 0.0);
+  }
+  if (profile.wireless_dup > 0.0) {
+    EXPECT_GT(dups, 0.0);
+  }
   EXPECT_EQ(crashes, static_cast<double>(profile.crashes.size() * kSeeds));
 }
 

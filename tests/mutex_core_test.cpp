@@ -1,17 +1,26 @@
 // Unit tests for the reusable mutual-exclusion engines (Lamport,
-// Naimi-Trehel path reversal) and the critical-section monitor, plus
-// the trace-driven token-holder-conservation regression for the
-// network-wired path-reversal mutex.
+// Naimi-Trehel path reversal) and the critical-section monitor, a
+// differential check of the Lamport engine against its node-based
+// predecessor, plus the trace-driven token-holder-conservation
+// regression for the network-wired path-reversal mutex.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mutex/lamport_engine.hpp"
 #include "mutex/monitor.hpp"
 #include "mutex/path_reversal.hpp"
+#include "sim/rng.hpp"
 #include "test_support.hpp"
 
 namespace mobidist::mutex {
@@ -241,6 +250,272 @@ TEST(LamportEngine, ReleaseBeforeGrantAbortsPendingRequest) {
   EXPECT_EQ(net.grants.size(), 2u);  // the aborted request never granted
   EXPECT_EQ(net.at(0).queue_size(), 0u);
   EXPECT_EQ(net.at(1).queue_size(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// LamportEngine against the node-based reference
+// --------------------------------------------------------------------------
+
+/// The engine as it was before its request queue became one FIFO per
+/// origin: a std::set ordered by (ts, origin, req_id) plus an
+/// (origin, req_id) -> ts index. Kept as the reference that the flat
+/// engine must match message for message.
+class ReferenceLamportEngine {
+ public:
+  ReferenceLamportEngine(std::uint32_t self, std::uint32_t n)
+      : self_(self), n_(n), latest_ts_(n, 0) {}
+
+  void set_send(LamportEngine::SendFn send) { send_ = std::move(send); }
+  void set_on_acquired(LamportEngine::AcquireFn fn) { on_acquired_ = std::move(fn); }
+
+  std::uint64_t submit(std::uint64_t req_id) {
+    const std::uint64_t ts = ++clock_;
+    const Entry entry{ts, self_, req_id};
+    if (!index_.emplace(std::pair{self_, req_id}, ts).second) {
+      throw std::logic_error("reference: duplicate local req_id");
+    }
+    queue_.insert(entry);
+    sent_requests_ += n_ - 1;
+    broadcast(LamportMsg{LamportMsg::Kind::kRequest, ts, self_, req_id});
+    check_grant();
+    return ts;
+  }
+
+  void release(std::uint64_t req_id) {
+    const auto it = index_.find({self_, req_id});
+    if (it == index_.end()) throw std::logic_error("reference: release of unknown req_id");
+    const Entry entry{it->second, self_, req_id};
+    queue_.erase(entry);
+    index_.erase(it);
+    if (granted_ && *granted_ == entry) granted_.reset();
+    const std::uint64_t ts = ++clock_;
+    sent_releases_ += n_ - 1;
+    broadcast(LamportMsg{LamportMsg::Kind::kRelease, ts, self_, req_id});
+    check_grant();
+  }
+
+  void on_message(std::uint32_t from, const LamportMsg& msg) {
+    clock_ = std::max(clock_, msg.clock) + 1;
+    latest_ts_[from] = std::max(latest_ts_[from], msg.clock);
+    switch (msg.kind) {
+      case LamportMsg::Kind::kRequest: {
+        queue_.insert(Entry{msg.clock, msg.origin, msg.req_id});
+        index_.emplace(std::pair{msg.origin, msg.req_id}, msg.clock);
+        const std::uint64_t reply_ts = ++clock_;
+        ++sent_replies_;
+        send_(from, LamportMsg{LamportMsg::Kind::kReply, reply_ts, self_, msg.req_id});
+        break;
+      }
+      case LamportMsg::Kind::kReply:
+        break;
+      case LamportMsg::Kind::kRelease: {
+        const auto it = index_.find({msg.origin, msg.req_id});
+        if (it != index_.end()) {
+          queue_.erase(Entry{it->second, msg.origin, msg.req_id});
+          index_.erase(it);
+        }
+        break;
+      }
+    }
+    check_grant();
+  }
+
+  [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
+  [[nodiscard]] std::size_t queue_size() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::uint64_t sent_requests() const noexcept { return sent_requests_; }
+  [[nodiscard]] std::uint64_t sent_replies() const noexcept { return sent_replies_; }
+  [[nodiscard]] std::uint64_t sent_releases() const noexcept { return sent_releases_; }
+
+ private:
+  struct Entry {
+    std::uint64_t ts;
+    std::uint32_t origin;
+    std::uint64_t req_id;
+    friend auto operator<=>(const Entry&, const Entry&) = default;
+  };
+
+  void broadcast(const LamportMsg& msg) {
+    for (std::uint32_t peer = 0; peer < n_; ++peer) {
+      if (peer != self_) send_(peer, msg);
+    }
+  }
+
+  void check_grant() {
+    if (queue_.empty()) return;
+    const Entry head = *queue_.begin();
+    if (head.origin != self_) return;
+    if (granted_ && *granted_ == head) return;
+    for (std::uint32_t peer = 0; peer < n_; ++peer) {
+      if (peer != self_ && latest_ts_[peer] <= head.ts) return;
+    }
+    granted_ = head;
+    on_acquired_(head.req_id, head.ts);
+  }
+
+  std::uint32_t self_;
+  std::uint32_t n_;
+  std::uint64_t clock_ = 0;
+  std::set<Entry> queue_;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> index_;
+  std::vector<std::uint64_t> latest_ts_;
+  std::optional<Entry> granted_;
+  LamportEngine::SendFn send_;
+  LamportEngine::AcquireFn on_acquired_;
+  std::uint64_t sent_requests_ = 0;
+  std::uint64_t sent_replies_ = 0;
+  std::uint64_t sent_releases_ = 0;
+};
+
+struct LoggedGrant {
+  std::uint32_t owner;
+  std::uint64_t req_id;
+  std::uint64_t ts;
+  friend bool operator==(const LoggedGrant&, const LoggedGrant&) = default;
+};
+
+/// n engines of one kind, wired by one FIFO per ordered pair.
+template <typename Engine>
+class PairFifoNet {
+ public:
+  explicit PairFifoNet(std::uint32_t n) : n_(n), links_(std::size_t{n} * n) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      engines_.push_back(std::make_unique<Engine>(i, n));
+      engines_[i]->set_send([this, i](std::uint32_t peer, const LamportMsg& msg) {
+        links_[std::size_t{i} * n_ + peer].push_back(msg);
+      });
+      engines_[i]->set_on_acquired([this, i](std::uint64_t req_id, std::uint64_t ts) {
+        grants.push_back({i, req_id, ts});
+      });
+    }
+  }
+
+  Engine& at(std::uint32_t i) { return *engines_[i]; }
+
+  [[nodiscard]] bool in_flight(std::uint32_t from, std::uint32_t to) const {
+    return !links_[std::size_t{from} * n_ + to].empty();
+  }
+
+  /// Deliver the oldest message on the from -> to link; returns it.
+  LamportMsg deliver(std::uint32_t from, std::uint32_t to) {
+    auto& link = links_[std::size_t{from} * n_ + to];
+    const LamportMsg msg = link.front();
+    link.pop_front();
+    engines_[to]->on_message(from, msg);
+    return msg;
+  }
+
+  std::vector<LoggedGrant> grants;
+
+ private:
+  std::uint32_t n_;
+  std::vector<std::deque<LamportMsg>> links_;
+  std::vector<std::unique_ptr<Engine>> engines_;
+};
+
+struct DifferentialTotals {
+  std::uint64_t grants = 0;
+  std::uint64_t aborts = 0;
+};
+
+/// One seeded random schedule driven through both engines in lockstep:
+/// each step delivers from a random busy link, submits a request (at
+/// most kMaxOutstanding per participant), releases the lock holder, or
+/// aborts a pending request. Grant logs, clocks and queue sizes must
+/// agree after every step, and the message counters at the end.
+void run_differential(std::uint32_t n, std::uint64_t seed, DifferentialTotals& totals) {
+  constexpr int kSteps = 3000;
+  constexpr std::size_t kMaxOutstanding = 6;
+  PairFifoNet<ReferenceLamportEngine> ref(n);
+  PairFifoNet<LamportEngine> flat(n);
+  sim::Rng rng(seed);
+  std::vector<std::vector<std::uint64_t>> outstanding(n);  // submitted, not released
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> choices;
+  std::uint64_t next_req_id = 1;
+  std::size_t released = 0;  // grants[0, released) have been released
+
+  auto forget = [&](std::uint32_t owner, std::uint64_t req_id) {
+    auto& reqs = outstanding[owner];
+    reqs.erase(std::find(reqs.begin(), reqs.end(), req_id));
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t roll = rng.below(100);
+    choices.clear();
+    if (roll < 60) {
+      for (std::uint32_t from = 0; from < n; ++from) {
+        for (std::uint32_t to = 0; to < n; ++to) {
+          if (ref.in_flight(from, to)) choices.emplace_back(from, to);
+        }
+      }
+      if (!choices.empty()) {
+        const auto [from, to] = choices[rng.below(choices.size())];
+        ASSERT_TRUE(flat.in_flight(from, to)) << "step " << step;
+        const LamportMsg want = ref.deliver(from, to);
+        const LamportMsg got = flat.deliver(from, to);
+        ASSERT_EQ(std::tie(got.kind, got.clock, got.origin, got.req_id),
+                  std::tie(want.kind, want.clock, want.origin, want.req_id))
+            << "step " << step << ": " << from << " -> " << to;
+      }
+    } else if (roll < 80) {
+      const auto who = static_cast<std::uint32_t>(rng.below(n));
+      if (outstanding[who].size() < kMaxOutstanding) {
+        const std::uint64_t req_id = next_req_id++;
+        outstanding[who].push_back(req_id);
+        const std::uint64_t want = ref.at(who).submit(req_id);
+        ASSERT_EQ(flat.at(who).submit(req_id), want) << "step " << step;
+      }
+    } else if (roll < 97) {
+      if (ref.grants.size() > released) {
+        const LoggedGrant holder = ref.grants[released++];
+        forget(holder.owner, holder.req_id);
+        ref.at(holder.owner).release(holder.req_id);
+        flat.at(holder.owner).release(holder.req_id);
+      }
+    } else {
+      const bool held = ref.grants.size() > released;
+      for (std::uint32_t who = 0; who < n; ++who) {
+        for (const std::uint64_t req_id : outstanding[who]) {
+          if (held && ref.grants.back().req_id == req_id) continue;
+          choices.emplace_back(who, req_id);
+        }
+      }
+      if (!choices.empty()) {
+        const auto [who, req_id] = choices[rng.below(choices.size())];
+        forget(who, req_id);
+        ref.at(who).release(req_id);
+        flat.at(who).release(req_id);
+        ++totals.aborts;
+      }
+    }
+
+    ASSERT_LE(ref.grants.size(), released + 1) << "step " << step << ": two holders";
+    ASSERT_EQ(flat.grants, ref.grants) << "step " << step;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(flat.at(i).clock(), ref.at(i).clock()) << "step " << step << " at " << i;
+      ASSERT_EQ(flat.at(i).queue_size(), ref.at(i).queue_size())
+          << "step " << step << " at " << i;
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(flat.at(i).sent_requests(), ref.at(i).sent_requests()) << i;
+    EXPECT_EQ(flat.at(i).sent_replies(), ref.at(i).sent_replies()) << i;
+    EXPECT_EQ(flat.at(i).sent_releases(), ref.at(i).sent_releases()) << i;
+  }
+  totals.grants += ref.grants.size();
+}
+
+TEST(LamportEngine, MatchesTheNodeBasedReferenceUnderRandomSchedules) {
+  DifferentialTotals totals;
+  for (const std::uint32_t n : {1u, 2u, 3u, 5u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " seed=" << seed);
+      run_differential(n, seed, totals);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // The schedules must reach both the grant path and the abort path.
+  EXPECT_GT(totals.grants, 100'000u);
+  EXPECT_GT(totals.aborts, 10'000u);
 }
 
 // --------------------------------------------------------------------------
