@@ -75,9 +75,13 @@ struct SweepReport {
   std::uint64_t binlog_dropped = 0;
   std::uint64_t binlog_bytes = 0;
 
+  /// The artifact body only: byte-identical for identical plans and
+  /// simulations, whatever the host, job count or shard count.
   [[nodiscard]] std::string deterministic_json() const;
+  /// The full artifact: the deterministic body plus `provenance`.
   [[nodiscard]] std::string json() const;
 
+  /// The summary of the cell named `cell`; nullptr when there is none.
   [[nodiscard]] const CellSummary* find_cell(std::string_view cell) const;
 };
 
@@ -99,6 +103,8 @@ struct Regression {
   double baseline = 0.0;
   double current = 0.0;
   double rel_delta = 0.0;  ///< (current - baseline) / max(|baseline|, eps)
+  /// One human-readable line: cell, metric, both means and the signed
+  /// percent change.
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -112,6 +118,7 @@ struct BaselineComparison {
   std::vector<Regression> regressions;  ///< metric means drifted > tolerance
   std::size_t metrics_compared = 0;
 
+  /// True when the artifacts were comparable and no metric drifted.
   [[nodiscard]] bool ok() const noexcept { return compatible && regressions.empty(); }
 };
 

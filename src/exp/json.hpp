@@ -19,8 +19,10 @@ namespace mobidist::exp::json {
 /// nothing is lost.
 class Value {
  public:
+  /// Which JSON type the value holds.
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Elements in document order.
   using Array = std::vector<Value>;
   /// Name-ordered so re-serialization is deterministic.
   using Object = std::map<std::string, Value, std::less<>>;
@@ -37,17 +39,26 @@ class Value {
   explicit Value(Array a) : kind_(Kind::kArray), arr_(std::move(a)) {}
   explicit Value(Object o) : kind_(Kind::kObject), obj_(std::move(o)) {}
 
+  /// The JSON type held.
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  /// True for `null` (and a default-constructed value).
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
+  /// True for `true` / `false`.
   [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
+  /// True for a number.
   [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::kNumber; }
+  /// True for a string.
   [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::kString; }
+  /// True for an array.
   [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }
+  /// True for an object.
   [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::kObject; }
 
+  /// The bool held; `fallback` for any other kind.
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept {
     return is_bool() ? bool_ : fallback;
   }
+  /// The number held (as a double); `fallback` for any other kind.
   [[nodiscard]] double as_number(double fallback = 0.0) const noexcept {
     return is_number() ? num_ : fallback;
   }
@@ -57,8 +68,11 @@ class Value {
     if (!is_number()) return fallback;
     return has_u64_ ? u64_ : static_cast<std::uint64_t>(num_);
   }
+  /// The string held; empty for any other kind.
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
+  /// The elements held; empty for any other kind.
   [[nodiscard]] const Array& as_array() const noexcept { return arr_; }
+  /// The members held; empty for any other kind.
   [[nodiscard]] const Object& as_object() const noexcept { return obj_; }
 
   /// Object member lookup; nullptr when absent or not an object.

@@ -43,7 +43,9 @@ class ScenarioContext {
   ScenarioContext(const ScenarioSpec& spec, net::Network& network)
       : spec_(spec), net_(network) {}
 
+  /// The scenario this run was planned from.
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
+  /// The run's own Network, built from spec().net.
   [[nodiscard]] net::Network& net() noexcept { return net_; }
 
   /// Construct an object that must outlive the simulation (an algorithm,
@@ -90,6 +92,7 @@ class ScenarioContext {
 /// each other's registrations.
 class WorkloadLibrary {
  public:
+  /// Wires one run of a workload into its ScenarioContext.
   using Builder = std::function<void(ScenarioContext&)>;
 
   /// All built-in workload kinds: "mutex" (l1|l2), "ring"
@@ -105,9 +108,11 @@ class WorkloadLibrary {
   /// other workload — and for shard-safe ones combined with mobility or
   /// a fault profile — so the shards axis is a pure no-op there.
   void add(std::string name, Builder builder, bool shard_safe = false);
+  /// The builder registered as `name`; nullptr when there is none.
   [[nodiscard]] const Builder* find(std::string_view name) const;
   /// True when `name` was registered shard-safe (false for unknown names).
   [[nodiscard]] bool shard_safe(std::string_view name) const;
+  /// Every registered name, in name order.
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
@@ -135,13 +140,16 @@ class WorkloadLibrary {
 /// the plan list — independent of `jobs` and of thread scheduling.
 class ParallelRunner {
  public:
+  /// Executes one plan; must be safe to call from several threads.
   using RunFn = std::function<RunResult(const RunPlan&)>;
 
   /// `jobs` = 0 picks std::thread::hardware_concurrency().
   explicit ParallelRunner(unsigned jobs = 0);
 
+  /// Worker threads used (at least 1).
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }
 
+  /// Run `fn` on every plan; result i belongs to plans[i].
   [[nodiscard]] std::vector<RunResult> run(const std::vector<RunPlan>& plans,
                                            const RunFn& fn) const;
   /// Convenience: run with the built-in workload library.

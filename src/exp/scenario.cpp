@@ -307,10 +307,31 @@ std::string to_json(const ScenarioSpec& spec) {
        << ",\"max_packet_msgs\":" << spec.net.formation.max_packet_msgs << '}';
   }
   if (spec.has_faults()) {
+    // Fields beyond the original set are emitted only when non-default,
+    // keeping existing scenario bodies byte-identical.
+    const fault::FaultProfile defaults;
     os << ",\"fault\":{\"wireless_loss\":" << real(f.wireless_loss)
        << ",\"wireless_dup\":" << real(f.wireless_dup)
-       << ",\"wireless_reorder\":" << real(f.wireless_reorder)
-       << ",\"wired_spike\":" << real(f.wired_spike) << ",\"crashes\":[";
+       << ",\"wireless_reorder\":" << real(f.wireless_reorder);
+    if (f.wireless_spike_max != defaults.wireless_spike_max) {
+      os << ",\"wireless_spike_max\":" << f.wireless_spike_max;
+    }
+    os << ",\"wired_spike\":" << real(f.wired_spike);
+    if (f.wired_spike_max != defaults.wired_spike_max) {
+      os << ",\"wired_spike_max\":" << f.wired_spike_max;
+    }
+    if (f.evacuate_on_crash != defaults.evacuate_on_crash) {
+      os << ",\"evacuate_on_crash\":" << (f.evacuate_on_crash ? "true" : "false");
+    }
+    if (f.drop_first_wireless != defaults.drop_first_wireless) {
+      os << ",\"drop_first_wireless\":" << f.drop_first_wireless;
+    }
+    if (f.dup_first_wireless != defaults.dup_first_wireless) {
+      os << ",\"dup_first_wireless\":" << f.dup_first_wireless;
+    }
+    if (f.rto_base != defaults.rto_base) os << ",\"rto_base\":" << f.rto_base;
+    if (f.rto_cap != defaults.rto_cap) os << ",\"rto_cap\":" << f.rto_cap;
+    os << ",\"crashes\":[";
     for (std::size_t i = 0; i < f.crashes.size(); ++i) {
       if (i != 0) os << ',';
       os << "{\"mss\":" << f.crashes[i].mss << ",\"at\":" << f.crashes[i].at

@@ -35,7 +35,10 @@ struct ScenarioSpec {
   /// at run time so typos cannot silently become defaults.
   std::map<std::string, double, std::less<>> params;
 
+  /// The param named `key`; `fallback` when it is not set.
   [[nodiscard]] double param(std::string_view key, double fallback) const;
+  /// param() for counts: throws std::runtime_error unless the set value
+  /// is a non-negative integer.
   [[nodiscard]] std::uint64_t param_u64(std::string_view key, std::uint64_t fallback) const;
 
   /// True when the fault profile would perturb the run (mirrors

@@ -16,7 +16,9 @@ struct SweepAxis {
   std::string key;
   std::vector<json::Value> values;
 
+  /// An axis over numeric values.
   [[nodiscard]] static SweepAxis numbers(std::string key, std::vector<double> values);
+  /// An axis over string values (variants, patterns, ...).
   [[nodiscard]] static SweepAxis strings(std::string key, std::vector<std::string> values);
 };
 
@@ -29,6 +31,7 @@ struct SweepAxis {
 /// seeds — and therefore the results — cannot depend on which thread
 /// later executes which run.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept;
+/// The first `count` seeds of derive_seed(base, ·), in index order.
 [[nodiscard]] std::vector<std::uint64_t> derive_seeds(std::uint64_t base, std::size_t count);
 
 /// One fully resolved run: the spec with every axis override and the

@@ -30,8 +30,11 @@ class AlwaysInformGroup {
   /// Send one group message from `sender` (must be a member).
   std::uint64_t send_group_message(net::MhId sender);
 
+  /// The members this strategy serves.
   [[nodiscard]] const Group& group() const noexcept { return group_; }
+  /// The delivery oracle this strategy reports to.
   [[nodiscard]] DeliveryMonitor& monitor() noexcept { return monitor_; }
+  /// Read-only view of monitor().
   [[nodiscard]] const DeliveryMonitor& monitor() const noexcept { return monitor_; }
 
   /// Location-update fan-outs performed (one per completed member move).

@@ -16,11 +16,14 @@ namespace mobidist::group {
 struct Group {
   std::vector<net::MhId> members;  ///< sorted, unique
 
+  /// True when `mh` is a member.
   [[nodiscard]] bool contains(net::MhId mh) const {
     return std::binary_search(members.begin(), members.end(), mh);
   }
+  /// Number of members.
   [[nodiscard]] std::size_t size() const noexcept { return members.size(); }
 
+  /// The group of `mhs`, sorted and with duplicates removed.
   [[nodiscard]] static Group of(std::vector<net::MhId> mhs) {
     std::sort(mhs.begin(), mhs.end());
     mhs.erase(std::unique(mhs.begin(), mhs.end()), mhs.end());
@@ -33,18 +36,19 @@ struct Group {
 /// *after* their own duplicate suppression.
 class DeliveryMonitor {
  public:
-  void sent(std::uint64_t msg_id, net::MhId sender) {
-    senders_[msg_id] = sender;
-    ++sent_;
-  }
+  /// Record that `sender` sent group message `msg_id`: every other
+  /// member now owes exactly one delivery of it.
+  void sent(std::uint64_t msg_id, net::MhId sender) { senders_[msg_id] = sender; }
 
+  /// Record one delivery of `msg_id` to `member`.
   void delivered(std::uint64_t msg_id, net::MhId member) {
     ++deliveries_[msg_id][member];
   }
 
+  /// Record one copy a strategy suppressed as a duplicate.
   void duplicate() noexcept { ++duplicates_suppressed_; }
 
-  [[nodiscard]] std::uint64_t total_sent() const noexcept { return sent_; }
+  /// Copies suppressed so far.
   [[nodiscard]] std::uint64_t duplicates_suppressed() const noexcept {
     return duplicates_suppressed_;
   }
@@ -95,7 +99,6 @@ class DeliveryMonitor {
  private:
   std::map<std::uint64_t, net::MhId> senders_;
   std::map<std::uint64_t, std::map<net::MhId, std::uint64_t>> deliveries_;
-  std::uint64_t sent_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
 };
 

@@ -39,8 +39,11 @@ class LocationViewGroup {
   /// Send one group message from `sender` (must be a member).
   std::uint64_t send_group_message(net::MhId sender);
 
+  /// The members this strategy serves.
   [[nodiscard]] const Group& group() const noexcept { return group_; }
+  /// The delivery oracle this strategy reports to.
   [[nodiscard]] DeliveryMonitor& monitor() noexcept { return monitor_; }
+  /// Read-only view of monitor().
   [[nodiscard]] const DeliveryMonitor& monitor() const noexcept { return monitor_; }
 
   /// Moves that actually changed LV(G) (the paper's f * MOB).

@@ -60,7 +60,6 @@ void MobilityDriver::start() {
 }
 
 void MobilityDriver::schedule_next(MhId host) {
-  if (stopped_) return;
   if (moves_per_host_[net::index(host)] >= cfg_.max_moves_per_host) return;
   const auto pause =
       static_cast<sim::Duration>(net_.rng().exponential(cfg_.mean_pause)) + 1;
@@ -69,7 +68,6 @@ void MobilityDriver::schedule_next(MhId host) {
 }
 
 void MobilityDriver::depart(MhId host) {
-  if (stopped_) return;
   auto& mobile = net_.mh(host);
   if (!mobile.connected()) {
     // Busy (in transit from an algorithm-driven move, or disconnected by

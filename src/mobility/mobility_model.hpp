@@ -58,9 +58,6 @@ class MobilityDriver {
   /// Empirical f over all regions.
   [[nodiscard]] double f_overall() const;
 
-  /// Stop scheduling new departures (in-flight transits still land).
-  void stop() noexcept { stopped_ = true; }
-
  private:
   void schedule_next(net::MhId host);
   void depart(net::MhId host);
@@ -77,7 +74,6 @@ class MobilityDriver {
   std::vector<std::uint64_t> significant_by_region_;
   std::uint64_t moves_ = 0;
   std::uint64_t disconnects_ = 0;
-  bool stopped_ = false;
 };
 
 }  // namespace mobidist::mobility

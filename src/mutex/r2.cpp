@@ -308,14 +308,6 @@ bool R2Mutex::all_queues_empty() const {
   return true;
 }
 
-std::uint64_t R2Mutex::grants_in_traversal(std::uint64_t token_val) const {
-  std::uint64_t total = 0;
-  for (const auto& [key, count] : grant_counts_) {
-    if (key.first == token_val) total += count;
-  }
-  return total;
-}
-
 std::uint64_t R2Mutex::grants_for(MhId mh, std::uint64_t token_val) const {
   const auto it = grant_counts_.find({token_val, net::index(mh)});
   return it == grant_counts_.end() ? 0 : it->second;

@@ -91,8 +91,6 @@ class R2Mutex {
     return skipped_disconnected_;
   }
 
-  /// Grants served while the token carried `token_val` (≈ per traversal).
-  [[nodiscard]] std::uint64_t grants_in_traversal(std::uint64_t token_val) const;
   /// Grants to one MH within one traversal window (R2' invariant: ≤ 1).
   [[nodiscard]] std::uint64_t grants_for(net::MhId mh, std::uint64_t token_val) const;
 

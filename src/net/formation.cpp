@@ -12,16 +12,12 @@ void FormationLayer::enqueue(MssId from, MssId to, Item item) {
   const bool was_empty = queue.items.empty();
   queue.bytes += item.bytes;
   queue.items.push_back(std::move(item));
-  ++msgs_enqueued_;
-  ++pending_msgs_;
 
   if (queue.items.size() >= cfg_.max_packet_msgs) {
-    ++size_flushes_;
     flush_queue(queue, from, to, "count");
     return;
   }
   if (queue.bytes >= cfg_.max_packet_bytes) {
-    ++size_flushes_;
     flush_queue(queue, from, to, "bytes");
     return;
   }
@@ -35,7 +31,6 @@ void FormationLayer::enqueue(MssId from, MssId to, Item item) {
       if (armed.epoch != epoch || armed.items.empty()) {
         return;  // already flushed (or never refilled): stale timer
       }
-      ++deadline_flushes_;
       flush_queue(armed, from, to, "deadline");
     });
   }
@@ -44,7 +39,6 @@ void FormationLayer::enqueue(MssId from, MssId to, Item item) {
 void FormationLayer::flush_pair(MssId from, MssId to, const char* trigger) {
   auto& queue = queues_[slot_of(from, to)];
   if (queue.items.empty()) return;
-  ++barrier_flushes_;
   flush_queue(queue, from, to, trigger);
 }
 
@@ -58,9 +52,6 @@ void FormationLayer::flush_queue(Queue& queue, MssId from, MssId to, const char*
   queue.items.clear();
   queue.bytes = 0;
   ++queue.epoch;
-  assert(pending_msgs_ >= packet.items.size());
-  pending_msgs_ -= packet.items.size();
-  ++packets_formed_;
   transmit_(std::move(packet));
 }
 

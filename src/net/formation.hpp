@@ -59,8 +59,9 @@ inline constexpr std::size_t kWireHeaderBytes = 24;
 /// Per-(src,dst) formation queues for the wired mesh.
 ///
 /// The layer owns queueing and trigger policy only; the substrate
-/// supplies a transmit callback that charges the ledger, samples one
-/// latency for the whole packet and schedules its arrival. Timers are
+/// supplies a transmit callback that charges the ledger, counts the
+/// packet in the `net.formation.*` metrics, samples one latency for the
+/// whole packet and schedules its arrival. Timers are
 /// epoch-guarded: each flush bumps the pair's epoch, so a deadline timer
 /// armed for an already-flushed generation finds a stale epoch and does
 /// nothing (timers are never cancelled, just disarmed by the epoch).
@@ -106,19 +107,6 @@ class FormationLayer {
   /// `trigger` labels the resulting packet event ("barrier" normally).
   void flush_pair(MssId from, MssId to, const char* trigger);
 
-  /// Messages accepted by enqueue() so far.
-  [[nodiscard]] std::uint64_t msgs_enqueued() const noexcept { return msgs_enqueued_; }
-  /// Packets handed to the transmit callback so far.
-  [[nodiscard]] std::uint64_t packets_formed() const noexcept { return packets_formed_; }
-  /// Packets cut by the count/bytes triggers.
-  [[nodiscard]] std::uint64_t size_flushes() const noexcept { return size_flushes_; }
-  /// Packets cut by the deadline timer.
-  [[nodiscard]] std::uint64_t deadline_flushes() const noexcept { return deadline_flushes_; }
-  /// Packets cut by flush_pair barriers.
-  [[nodiscard]] std::uint64_t barrier_flushes() const noexcept { return barrier_flushes_; }
-  /// Messages currently parked across all queues.
-  [[nodiscard]] std::size_t pending_msgs() const noexcept { return pending_msgs_; }
-
  private:
   struct Queue {
     std::vector<Item> items;
@@ -139,12 +127,6 @@ class FormationLayer {
   TransmitFn transmit_;
   /// One queue per ordered (from, to) pair, row-major by sender.
   std::vector<Queue> queues_;
-  std::uint64_t msgs_enqueued_ = 0;
-  std::uint64_t packets_formed_ = 0;
-  std::uint64_t size_flushes_ = 0;
-  std::uint64_t deadline_flushes_ = 0;
-  std::uint64_t barrier_flushes_ = 0;
-  std::size_t pending_msgs_ = 0;
 };
 
 }  // namespace mobidist::net

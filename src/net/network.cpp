@@ -330,6 +330,34 @@ Network::CellRecord& Network::enter_cell(MssId cell, MhId mh) {
   return record;
 }
 
+sim::SimTime Network::wired_transit(MssId from, MssId to) {
+  auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
+  if (fault_) latency += fault_->draw_wired_spike();
+  return fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
+}
+
+template <typename Fn>
+void Network::land_wired(MssId from, MssId to, sim::SimTime at, Fn fn) {
+  sl().sched.schedule_at(at, [this, from, to, fn = std::move(fn)]() mutable {
+    if (fault_) {
+      // A crashed (or partitioned-off) destination leaves the message
+      // waiting at its network interface; re-offer it when the outage
+      // window closes. Deferrals preserve per-channel FIFO order: every
+      // arrival during one window reschedules to the same release
+      // instant, and the scheduler breaks same-instant ties in
+      // scheduling order.
+      const auto now = sl().sched.now();
+      const auto release = fault_->wired_release_at(index(from), index(to), now);
+      if (release > now) {
+        fault_->count_deferral();
+        land_wired(from, to, release, std::move(fn));
+        return;
+      }
+    }
+    fn();
+  });
+}
+
 void Network::send_wired(MssId from, MssId to, Envelope env) {
   env.src = from;
   env.dst = to;
@@ -341,9 +369,10 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
                                .entity = entity_of(from),
                                .peer = entity_of(to),
                                .arg = env.proto});
-    sl().sched.schedule(0, [this, from, to, send_id, env = std::move(env)]() mutable {
-      arrive_wired(from, to, send_id, 0, std::move(env));
-    });
+    land_wired(from, to, sl().sched.now(),
+               [this, from, to, send_id, env = std::move(env)]() mutable {
+                 arrive_wired(from, to, send_id, 0, std::move(env));
+               });
     return;
   }
   if (sl().formation) {
@@ -351,9 +380,7 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
     return;
   }
   if (!env.control) sl().ledger.charge_fixed();
-  auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-  if (fault_) latency += fault_->draw_wired_spike();
-  const auto arrival = fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
+  const auto arrival = wired_transit(from, to);
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
   const auto send_id = emit({.kind = obs::EventKind::kSend,
                              .entity = entity_of(from),
@@ -375,29 +402,14 @@ void Network::send_wired(MssId from, MssId to, Envelope env) {
               });
     return;
   }
-  sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, env = std::move(env)]() mutable {
-    arrive_wired(from, to, send_id, channel, std::move(env));
-  });
+  land_wired(from, to, arrival,
+             [this, from, to, send_id, channel, env = std::move(env)]() mutable {
+               arrive_wired(from, to, send_id, channel, std::move(env));
+             });
 }
 
 void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
                            Envelope env, std::uint64_t send_clock) {
-  if (fault_) {
-    // A crashed (or partitioned-off) destination leaves the message
-    // waiting at its network interface; re-offer it when the outage
-    // window closes. Deferrals preserve per-channel FIFO order: every
-    // arrival during one window reschedules to the same release instant,
-    // and the scheduler breaks same-instant ties in scheduling order.
-    const auto release = fault_->wired_release_at(index(from), index(to), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, from, to, send_id, channel, send_clock,
-                                       env = std::move(env)]() mutable {
-        arrive_wired(from, to, send_id, channel, std::move(env), send_clock);
-      });
-      return;
-    }
-  }
   const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                              .entity = entity_of(to),
                              .peer = entity_of(from),
@@ -409,27 +421,16 @@ void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint
   deliver_wired(to, std::move(env));
 }
 
-void Network::arrive_deferred(MssId from, MssId at, obs::EventId send_id,
-                              std::uint64_t channel, ProtocolId proto,
-                              std::string_view detail, std::function<void()> deliver) {
-  if (fault_) {
-    const auto release = fault_->wired_release_at(index(from), index(at), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, from, at, send_id, channel, proto, detail,
-                                       deliver = std::move(deliver)]() mutable {
-        arrive_deferred(from, at, send_id, channel, proto, detail, std::move(deliver));
-      });
-      return;
-    }
-  }
+template <typename Fn>
+void Network::arrive_forward(MssId from, MssId at, obs::EventId send_id,
+                             std::uint64_t channel, ProtocolId proto, Fn& deliver) {
   const auto recv_id = emit({.kind = obs::EventKind::kRecv,
                              .entity = entity_of(at),
                              .peer = entity_of(from),
                              .cause = send_id,
                              .channel = channel,
                              .arg = proto,
-                             .detail = detail});
+                             .detail = "forward"});
   obs::CauseScope scope(sl().events, recv_id);
   deliver();
 }
@@ -473,15 +474,13 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   if (carries_charged) slice.ledger.charge_wired_packet();
   // One latency draw and one FIFO clamp for the whole packet: the wire
   // sees a single transmission.
-  auto latency = sample(index(packet.from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-  if (fault_) latency += fault_->draw_wired_spike();
-  const auto channel =
-      channel_key(ChannelType::kWired, index(packet.from), index(packet.to));
-  const auto arrival =
-      fifo_arrival(wired_clock(packet.from, packet.to), ChannelType::kWired, latency);
+  const auto from = packet.from;
+  const auto to = packet.to;
+  const auto arrival = wired_transit(from, to);
+  const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
   const auto packet_id = emit({.kind = obs::EventKind::kPacketSend,
-                               .entity = entity_of(packet.from),
-                               .peer = entity_of(packet.to),
+                               .entity = entity_of(from),
+                               .peer = entity_of(to),
                                .cause = packet.items.front().send_id,
                                .channel = channel,
                                .arg = packet.items.size(),
@@ -508,7 +507,7 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
       item_clocks.push_back(slice.events.lamport_of(item.send_id));
       item.send_id = obs::make_cross_ref(stream, item.send_id);
     }
-    post_mail(index(packet.from), index(packet.to), arrival,
+    post_mail(index(from), index(to), arrival,
               [this, packet = std::move(packet),
                cross_id = obs::make_cross_ref(stream, packet_id), channel, packet_clock,
                item_clocks = std::move(item_clocks)]() mutable {
@@ -517,8 +516,7 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
               });
     return;
   }
-  slice.sched.schedule_at(arrival, [this, packet = std::move(packet), packet_id,
-                                    channel]() mutable {
+  land_wired(from, to, arrival, [this, packet = std::move(packet), packet_id, channel]() mutable {
     arrive_packet(std::move(packet), packet_id, channel);
   });
 }
@@ -526,22 +524,6 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
 void Network::arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
                             std::uint64_t channel, std::uint64_t packet_clock,
                             std::vector<std::uint64_t> item_clocks) {
-  if (fault_) {
-    // Same deferral rule as arrive_wired: a crashed or partitioned-off
-    // destination holds the whole packet at its interface.
-    const auto release =
-        fault_->wired_release_at(index(packet.from), index(packet.to), sl().sched.now());
-    if (release > sl().sched.now()) {
-      fault_->count_deferral();
-      sl().sched.schedule_at(release, [this, packet = std::move(packet), packet_id, channel,
-                                       packet_clock,
-                                       item_clocks = std::move(item_clocks)]() mutable {
-        arrive_packet(std::move(packet), packet_id, channel, packet_clock,
-                      std::move(item_clocks));
-      });
-      return;
-    }
-  }
   emit({.kind = obs::EventKind::kPacketFlush,
         .entity = entity_of(packet.to),
         .peer = entity_of(packet.from),
@@ -626,13 +608,36 @@ bool WseqDedup::deliver(std::uint64_t wseq) {
 
 void Network::send_wireless_downlink(MssId from, Envelope env, MhId to,
                                      FailCallback on_fail) {
-  downlink_attempt(from, std::move(env), to, std::move(on_fail), 0, 0);
+  wireless_attempt(Frame{.kind = FrameKind::kDownlink, .cell = from, .mh = to}, std::move(env),
+                   std::move(on_fail));
 }
 
-void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback on_fail,
-                               std::uint32_t attempt, std::uint64_t wseq) {
-  auto& host = mh(to);
-  if (host.current_mss() != from) {
+void Network::send_wireless_uplink(MhId from, Envelope env) {
+  auto& host = mh(from);
+  if (!host.connected()) {
+    throw std::logic_error("send_wireless_uplink: " + to_string(from) + " is not in a cell");
+  }
+  if (!env.control) {
+    sl().ledger.charge_wireless(index(from), /*mh_transmitted=*/true);
+  } else {
+    ++sl().stats.control_msgs;
+  }
+  wireless_attempt(Frame{.kind = FrameKind::kUplink,
+                         .cell = host.current_mss(),
+                         .mh = from,
+                         .epoch = host.joins_completed()},
+                   std::move(env), {});
+}
+
+void Network::submit_join(MhId from, MssId target, msg::Join join) {
+  require_legacy("submit_join()");
+  ++sl().stats.control_msgs;
+  wireless_attempt(Frame{.kind = FrameKind::kJoin, .cell = target, .mh = from},
+                   make_control(NodeRef(join.mh), NodeRef(target), join), {});
+}
+
+void Network::wireless_attempt(Frame frame, Envelope env, FailCallback on_fail) {
+  if (frame.downlink() && mh(frame.mh).current_mss() != frame.cell) {
     // Already gone: fail asynchronously so callers see uniform behaviour.
     // Retransmission stops here too — the sender's link layer only
     // promises delivery while the MH stays in this cell; the send_to_mh
@@ -644,38 +649,64 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
     }
     return;
   }
-  const auto channel = channel_key(ChannelType::kDownlink, index(from), index(to));
-  auto& chan = cell_record(from, to).downlink;
-  if (attempt == 0) wseq = ++chan.next_wseq;
+  auto& record = cell_record(frame.cell, frame.mh);
+  auto& chan = frame.downlink() ? record.downlink : record.uplink;
+  if (frame.attempt == 0) frame.wseq = ++chan.next_wseq;
+  const bool join = frame.kind == FrameKind::kJoin;
+  const auto channel = frame.channel();
   const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(to),
+                             .entity = frame.sender(),
+                             .peer = frame.receiver(),
                              .channel = channel,
                              .arg = env.proto,
-                             .detail = attempt == 0 ? "" : "retx"});
+                             .detail = frame.attempt == 0 ? (join ? "join" : "")
+                                                          : (join ? "join retx" : "retx")});
   const char* why = nullptr;
-  if (wireless_frame_lost(index(from), &why)) {
+  if (wireless_frame_lost(index(frame.cell), &why)) {
     const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(to),
+                               .entity = frame.sender(),
+                               .peer = frame.receiver(),
                                .cause = send_id,
                                .channel = channel,
                                .arg = env.proto,
                                .detail = why});
     ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, to, attempt, wseq, cause = drop_id, env = std::move(env),
-                         on_fail = std::move(on_fail)]() mutable {
-                          obs::CauseScope scope(sl().events, cause);
-                          downlink_attempt(from, std::move(env), to, std::move(on_fail),
-                                           attempt + 1, wseq);
-                        });
+    sl().delivery_retry_depth.record(frame.attempt + 1);
+    const auto backoff = retransmit_backoff(frame.attempt);
+    sl().sched.schedule(backoff, [this, frame, cause = drop_id, env = std::move(env),
+                                  on_fail = std::move(on_fail)]() mutable {
+      obs::CauseScope scope(sl().events, cause);
+      switch (frame.kind) {
+        case FrameKind::kDownlink:
+          break;  // the next attempt's own cell check gives up first
+        case FrameKind::kUplink:
+          // Leave/Disconnect frames describe a departure the §2
+          // join/handoff protocol has already superseded once the MH
+          // completed another join; delivering a stale copy now could only
+          // evict a live member. Every other uplink keeps retrying: the
+          // link layer owes eventual delivery to the cell the frame was
+          // sent in, no matter where the MH went since.
+          if (env.proto == protocol::kSystem &&
+              mh(frame.mh).joins_completed() != frame.epoch) {
+            return;
+          }
+          break;
+        case FrameKind::kJoin:
+          // Joining is the one state a MH cannot leave on its own
+          // (move_to/disconnect require connectivity), so retry until a
+          // join lands.
+          if (mh(frame.mh).connected()) return;
+          break;
+      }
+      ++frame.attempt;
+      wireless_attempt(frame, std::move(env), std::move(on_fail));
+    });
     return;
   }
-  // The downlink is in-cell traffic: the MH's lane is its cell, so the
-  // draw belongs to the sender MSS's lane either way.
-  auto latency = sample(index(from), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
+  // Wireless traffic stays inside the cell: the MH's lane is its cell,
+  // so the draw belongs to the cell MSS's lane in either direction.
+  auto latency =
+      sample(index(frame.cell), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
   const bool duplicated = fault_ && fault_->draw_wireless_dup();
   if (fault_) latency += fault_->draw_wireless_spike();
   if (duplicated) {
@@ -684,153 +715,66 @@ void Network::downlink_attempt(MssId from, Envelope env, MhId to, FailCallback o
     // always sees (and suppresses) the copy second.
     fault_->count_dup();
     emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(to),
+          .entity = frame.sender(),
+          .peer = frame.receiver(),
           .cause = send_id,
           .channel = channel,
           .arg = env.proto});
   }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, latency);
-  sl().sched.schedule_at(arrival, [this, from, to, send_id, channel, wseq, env,
-                                   on_fail = std::move(on_fail)]() mutable {
-    deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env),
-                           std::move(on_fail));
-  });
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival =
-        fifo_arrival(chan.fifo_clock, ChannelType::kDownlink, copy_latency);
-    // No on_fail on the copy: it is link-layer noise, and resurrecting an
-    // already-delivered frame through the retry path would ghost-deliver.
-    sl().sched.schedule_at(copy_arrival, [this, from, to, send_id, channel, wseq,
-                                          env = std::move(env)]() mutable {
-      deliver_downlink_frame(from, to, send_id, channel, wseq, std::move(env), {});
+  const auto type = frame.downlink() ? ChannelType::kDownlink : ChannelType::kUplink;
+  const auto arrival = fifo_arrival(chan.fifo_clock, type, latency);
+  const auto land = [this, frame, send_id](sim::SimTime at, Envelope copy, FailCallback fail) {
+    sl().sched.schedule_at(at, [this, frame, send_id, copy = std::move(copy),
+                                fail = std::move(fail)]() mutable {
+      land_frame(frame, send_id, std::move(copy), fail);
     });
+  };
+  if (!duplicated) {
+    land(arrival, std::move(env), std::move(on_fail));
+    return;
   }
+  land(arrival, env, std::move(on_fail));
+  // No on_fail on the copy: it is link-layer noise, and resurrecting an
+  // already-delivered frame through the retry path would ghost-deliver.
+  const auto copy_latency =
+      fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
+  land(fifo_arrival(chan.fifo_clock, type, copy_latency), std::move(env), {});
 }
 
-void Network::deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
-                                     std::uint64_t channel, std::uint64_t wseq, Envelope env,
-                                     FailCallback on_fail) {
-  auto& dest = mh(to);
-  if (dest.current_mss() != from) {
+void Network::land_frame(const Frame& frame, obs::EventId send_id, Envelope env,
+                         const FailCallback& on_fail) {
+  auto& host = mh(frame.mh);
+  if (frame.downlink() && host.current_mss() != frame.cell) {
     // The MH left between transmission and (would-be) reception: the
     // frame is lost in the old cell — §2's prefix-delivery rule. No
     // recv event: the send stays unconsumed in the stream.
     if (on_fail) on_fail(env);
     return;
   }
-  if (!cell_record(from, to).downlink.dedup.deliver(wseq)) {
-    // A link-layer copy of a frame this MH already consumed: silently
-    // suppressed, its send stays unconsumed in the stream.
+  auto& record = cell_record(frame.cell, frame.mh);
+  if (!(frame.downlink() ? record.downlink : record.uplink).dedup.deliver(frame.wseq)) {
+    // A link-layer copy of a frame the receiver already consumed:
+    // silently suppressed, its send stays unconsumed in the stream.
     ++sl().stats.dup_suppressed;
     return;
   }
-  if (!env.control) sl().ledger.charge_wireless(index(to), /*mh_transmitted=*/false);
-  if (env.control) ++sl().stats.control_msgs;
-  if (dest.dozing()) ++sl().stats.doze_interruptions;
+  if (frame.downlink()) {
+    if (!env.control) sl().ledger.charge_wireless(index(frame.mh), /*mh_transmitted=*/false);
+    if (env.control) ++sl().stats.control_msgs;
+    if (host.dozing()) ++sl().stats.doze_interruptions;
+  }
   const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                             .entity = entity_of(to),
-                             .peer = entity_of(from),
+                             .entity = frame.receiver(),
+                             .peer = frame.sender(),
                              .cause = send_id,
-                             .channel = channel,
-                             .arg = env.proto});
-  obs::CauseScope scope(sl().events, recv_id);
-  dest.deliver(env);
-}
-
-void Network::send_wireless_uplink(MhId from, Envelope env) {
-  auto& host = mh(from);
-  if (!host.connected()) {
-    throw std::logic_error("send_wireless_uplink: " + to_string(from) + " is not in a cell");
-  }
-  const MssId target = host.current_mss();
-  if (!env.control) {
-    sl().ledger.charge_wireless(index(from), /*mh_transmitted=*/true);
-  } else {
-    ++sl().stats.control_msgs;
-  }
-  uplink_attempt(from, target, std::move(env), host.joins_completed(), 0, 0);
-}
-
-void Network::uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
-                             std::uint32_t attempt, std::uint64_t wseq) {
-  const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = cell_record(target, from).uplink;
-  if (attempt == 0) wseq = ++chan.next_wseq;
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(target),
-                             .channel = channel,
+                             .channel = frame.channel(),
                              .arg = env.proto,
-                             .detail = attempt == 0 ? "" : "retx"});
-  const char* why = nullptr;
-  if (wireless_frame_lost(index(target), &why)) {
-    const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(target),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = env.proto,
-                               .detail = why});
-    ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, target, epoch, attempt, wseq, cause = drop_id,
-                         env = std::move(env)]() mutable {
-                          obs::CauseScope scope(sl().events, cause);
-                          // Leave/Disconnect frames describe a departure the
-                          // §2 join/handoff protocol has already superseded
-                          // once the MH completed another join; delivering a
-                          // stale copy now could only evict a live member.
-                          // Every other uplink keeps retrying: the link layer
-                          // owes eventual delivery to the cell the frame was
-                          // sent in, no matter where the MH went since.
-                          if (env.proto == protocol::kSystem &&
-                              mh(from).joins_completed() != epoch) {
-                            return;
-                          }
-                          uplink_attempt(from, target, std::move(env), epoch, attempt + 1, wseq);
-                        });
-    return;
-  }
-  // The uplink stays inside the cell too: the target MSS's lane is the
-  // MH's lane, so this is a same-lane draw in the sharded engine.
-  auto latency = sample(index(target), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-  const bool duplicated = fault_ && fault_->draw_wireless_dup();
-  if (fault_) latency += fault_->draw_wireless_spike();
-  if (duplicated) {
-    fault_->count_dup();
-    emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .cause = send_id,
-          .channel = channel,
-          .arg = env.proto});
-  }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
-  auto deliver = [this, from, target, send_id, channel, wseq](Envelope frame) {
-    if (!cell_record(target, from).uplink.dedup.deliver(wseq)) {
-      ++sl().stats.dup_suppressed;
-      return;
-    }
-    const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                               .entity = entity_of(target),
-                               .peer = entity_of(from),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = frame.proto});
-    obs::CauseScope scope(sl().events, recv_id);
-    mss(target).dispatch(frame);
-  };
-  sl().sched.schedule_at(arrival, [deliver, env]() mutable { deliver(std::move(env)); });
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
-    sl().sched.schedule_at(copy_arrival,
-                           [deliver, env = std::move(env)]() mutable { deliver(std::move(env)); });
+                             .detail = frame.kind == FrameKind::kJoin ? "join" : ""});
+  obs::CauseScope scope(sl().events, recv_id);
+  if (frame.downlink()) {
+    host.deliver(env);
+  } else {
+    mss(frame.cell).dispatch(env);
   }
 }
 
@@ -896,9 +840,7 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
       // flush the pending packet first so this send cannot overtake
       // messages queued earlier on the same channel.
       if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
-      auto latency = sample(index(from), cfg_.latency.wired_min, cfg_.latency.wired_max);
-      if (fault_) latency += fault_->draw_wired_spike();
-      const auto arrival = fifo_arrival(wired_clock(from, at), ChannelType::kWired, latency);
+      const auto arrival = wired_transit(from, at);
       const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
       const auto fwd_id = emit({.kind = obs::EventKind::kSend,
                                 .entity = entity_of(from),
@@ -906,9 +848,9 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
                                 .channel = channel,
                                 .arg = env.proto,
                                 .detail = "forward"});
-      sl().sched.schedule_at(arrival, [this, from, at, fwd_id, channel, proto = env.proto,
-                                       deliver = std::move(deliver)]() mutable {
-        arrive_deferred(from, at, fwd_id, channel, proto, "forward", std::move(deliver));
+      land_wired(from, at, arrival, [this, from, at, fwd_id, channel, proto = env.proto,
+                                     deliver = std::move(deliver)]() mutable {
+        arrive_forward(from, at, fwd_id, channel, proto, deliver);
       });
     }
   });
@@ -944,7 +886,30 @@ void Network::oracle_locate(MssId from, MhId target, LocateCallback cb) {
         .peer = entity_of(target),
         .arg = 1,
         .detail = "oracle"});
-  const auto delay = sample(index(from), cfg_.latency.search_min, cfg_.latency.search_max);
+  settle_locate(sample(index(from), cfg_.latency.search_min, cfg_.latency.search_max), from,
+                target, std::move(cb));
+}
+
+void Network::broadcast_locate(MssId from, MhId target, LocateCallback cb) {
+  // Degenerate single-MSS system: the only cell is ours. The fast path
+  // must still distinguish all three MH states — reporting an in-transit
+  // target as connected would spin the downlink fail/retry loop until
+  // its join lands — so it settles like an oracle locate.
+  if (cfg_.num_mss == 1) {
+    emit({.kind = obs::EventKind::kSearchRound,
+          .entity = entity_of(from),
+          .peer = entity_of(target),
+          .arg = 1,
+          .detail = "broadcast"});
+    settle_locate(0, from, target, std::move(cb));
+    return;
+  }
+  const std::uint64_t token = next_search_token_++;
+  broadcast_[token] = BroadcastSearch{from, target, std::move(cb)};
+  broadcast_round(token);
+}
+
+void Network::settle_locate(sim::Duration delay, MssId from, MhId target, LocateCallback cb) {
   sl().sched.schedule(delay, [this, from, target, cause = sl().events.current_cause(),
                               cb = std::move(cb)]() mutable {
     obs::CauseScope scope(sl().events, cause);
@@ -966,43 +931,6 @@ void Network::oracle_locate(MssId from, MhId target, LocateCallback cb) {
         return;
     }
   });
-}
-
-void Network::broadcast_locate(MssId from, MhId target, LocateCallback cb) {
-  // Degenerate single-MSS system: the only cell is ours. The fast path
-  // must still distinguish all three MH states — reporting an in-transit
-  // target as connected would spin the downlink fail/retry loop until
-  // its join lands; park the resolution like oracle_locate does instead.
-  if (cfg_.num_mss == 1) {
-    emit({.kind = obs::EventKind::kSearchRound,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .arg = 1,
-          .detail = "broadcast"});
-    sl().sched.schedule(0, [this, from, target, cause = sl().events.current_cause(),
-                            cb = std::move(cb)]() mutable {
-      obs::CauseScope scope(sl().events, cause);
-      auto& host = mh(target);
-      switch (host.state()) {
-        case MhState::kConnected:
-          sl().search_rounds.record(1);
-          cb(from, false);
-          return;
-        case MhState::kDisconnected:
-          sl().search_rounds.record(1);
-          cb(host.last_mss(), true);
-          return;
-        case MhState::kInTransit:
-          ++sl().stats.searches_pended;
-          pending_locates_[target].push_back(PendingLocate{from, std::move(cb)});
-          return;
-      }
-    });
-    return;
-  }
-  const std::uint64_t token = next_search_token_++;
-  broadcast_[token] = BroadcastSearch{from, target, std::move(cb)};
-  broadcast_round(token);
 }
 
 void Network::broadcast_round(std::uint64_t token) {
@@ -1094,82 +1022,6 @@ void Network::handle_search_reply(const msg::SearchReply& reply) {
                           obs::CauseScope scope(sl().events, cause);
                           broadcast_round(token);
                         });
-  }
-}
-
-void Network::submit_join(MhId from, MssId target, msg::Join join) {
-  require_legacy("submit_join()");
-  ++sl().stats.control_msgs;
-  join_attempt(from, target, join, 0, 0);
-}
-
-void Network::join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
-                           std::uint64_t wseq) {
-  const auto channel = channel_key(ChannelType::kUplink, index(from), index(target));
-  auto& chan = cell_record(target, from).uplink;
-  if (attempt == 0) wseq = ++chan.next_wseq;
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(target),
-                             .channel = channel,
-                             .arg = protocol::kSystem,
-                             .detail = attempt == 0 ? "join" : "join retx"});
-  const char* why = nullptr;
-  if (wireless_frame_lost(index(target), &why)) {
-    const auto drop_id = emit({.kind = obs::EventKind::kMsgDropped,
-                               .entity = entity_of(from),
-                               .peer = entity_of(target),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = protocol::kSystem,
-                               .detail = why});
-    ++sl().stats.retransmissions;
-    sl().delivery_retry_depth.record(attempt + 1);
-    sl().sched.schedule(retransmit_backoff(attempt),
-                        [this, from, target, join, attempt, wseq, cause = drop_id]() {
-                          obs::CauseScope scope(sl().events, cause);
-                          // Joining is the one state a MH cannot leave on its
-                          // own (move_to/disconnect require connectivity), so
-                          // retry until the join lands.
-                          if (mh(from).connected()) return;
-                          join_attempt(from, target, join, attempt + 1, wseq);
-                        });
-    return;
-  }
-  auto latency = sample(index(target), cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-  const bool duplicated = fault_ && fault_->draw_wireless_dup();
-  if (fault_) latency += fault_->draw_wireless_spike();
-  if (duplicated) {
-    fault_->count_dup();
-    emit({.kind = obs::EventKind::kMsgDuplicated,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .cause = send_id,
-          .channel = channel,
-          .arg = protocol::kSystem});
-  }
-  const auto arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, latency);
-  auto deliver = [this, from, target, send_id, channel, wseq, join]() {
-    if (!cell_record(target, from).uplink.dedup.deliver(wseq)) {
-      ++sl().stats.dup_suppressed;
-      return;
-    }
-    const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                               .entity = entity_of(target),
-                               .peer = entity_of(from),
-                               .cause = send_id,
-                               .channel = channel,
-                               .arg = protocol::kSystem,
-                               .detail = "join"});
-    obs::CauseScope scope(sl().events, recv_id);
-    mss(target).dispatch(make_control(NodeRef(join.mh), NodeRef(target), join));
-  };
-  sl().sched.schedule_at(arrival, deliver);
-  if (duplicated) {
-    const auto copy_latency =
-        fault_->draw_latency(cfg_.latency.wireless_min, cfg_.latency.wireless_max);
-    const auto copy_arrival = fifo_arrival(chan.fifo_clock, ChannelType::kUplink, copy_latency);
-    sl().sched.schedule_at(copy_arrival, deliver);
   }
 }
 

@@ -424,7 +424,8 @@ class Network {
         metrics.histogram("net.search_rounds", obs::count_buckets());
     obs::Histogram& delivery_retry_depth =
         metrics.histogram("net.delivery_retry_depth", obs::count_buckets());
-    // Formation-layer instrumentation (all zero in passthrough mode).
+    // Formation-layer instrumentation (all zero in passthrough mode): one
+    // packet_msgs sample per packet, valued at its message count.
     obs::Histogram& packet_msgs =
         metrics.histogram("net.formation.packet_msgs", obs::count_buckets());
     obs::Counter& formation_size_flushes = metrics.counter("net.formation.size_flushes");
@@ -535,10 +536,10 @@ class Network {
   /// sample one latency for the whole packet and schedule its arrival
   /// (via the window mailbox when sharded).
   void transmit_packet(FormationLayer::Packet packet);
-  /// Packet arrival: honour crash/partition deferral, emit kPacketFlush,
-  /// then deliver the coalesced messages in send order. In the sharded
-  /// engine `packet_id` and every item's send_id arrive as cross-stream
-  /// refs, with the senders' Lamport clocks carried alongside.
+  /// Packet arrival: emit kPacketFlush, then deliver the coalesced
+  /// messages in send order. In the sharded engine `packet_id` and every
+  /// item's send_id arrive as cross-stream refs, with the senders'
+  /// Lamport clocks carried alongside.
   void arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
                      std::uint64_t channel, std::uint64_t packet_clock = 0,
                      std::vector<std::uint64_t> item_clocks = {});
@@ -553,39 +554,83 @@ class Network {
   // dropped attempt schedules the next one after a capped exponential
   // backoff.
 
-  void downlink_attempt(MssId from, Envelope env, MhId to, FailCallback on_fail,
-                        std::uint32_t attempt, std::uint64_t wseq);
-  void deliver_downlink_frame(MssId from, MhId to, obs::EventId send_id,
-                              std::uint64_t channel, std::uint64_t wseq, Envelope env,
-                              FailCallback on_fail);
-  void uplink_attempt(MhId from, MssId target, Envelope env, std::uint64_t epoch,
-                      std::uint32_t attempt, std::uint64_t wseq);
-  void join_attempt(MhId from, MssId target, msg::Join join, std::uint32_t attempt,
-                    std::uint64_t wseq);
+  /// Which way a frame crosses the cell. A join rides the uplink channel
+  /// of a cell the MH is not yet local to, so it keeps its own tags and
+  /// retry rule.
+  enum class FrameKind : std::uint8_t { kDownlink, kUplink, kJoin };
+
+  /// One logical frame on a (cell, MH) channel: everything its
+  /// retransmissions and its arrival need besides the envelope.
+  struct Frame {
+    FrameKind kind = FrameKind::kDownlink;
+    MssId cell = kInvalidMss;   ///< the MSS end of the hop
+    MhId mh = kInvalidMh;       ///< the MH end of the hop
+    std::uint32_t attempt = 0;  ///< 0 for the first transmission
+    /// Uplink: the MH's joins_completed() when the frame was first sent.
+    std::uint64_t epoch = 0;
+    std::uint64_t wseq = 0;  ///< assigned by attempt 0
+
+    [[nodiscard]] bool downlink() const noexcept { return kind == FrameKind::kDownlink; }
+    [[nodiscard]] obs::Entity sender() const noexcept {
+      return downlink() ? entity_of(cell) : entity_of(mh);
+    }
+    [[nodiscard]] obs::Entity receiver() const noexcept {
+      return downlink() ? entity_of(mh) : entity_of(cell);
+    }
+    [[nodiscard]] std::uint64_t channel() const noexcept {
+      return downlink() ? channel_key(ChannelType::kDownlink, index(cell), index(mh))
+                        : channel_key(ChannelType::kUplink, index(mh), index(cell));
+    }
+  };
+
+  /// Transmit one attempt of `frame`. A downlink whose MH has already
+  /// left fails through `on_fail`; a lost attempt retransmits after the
+  /// backoff unless its kind's give-up rule holds; otherwise the frame
+  /// (and any link-layer copy) is scheduled to land.
+  void wireless_attempt(Frame frame, Envelope env, FailCallback on_fail);
+  /// One copy of `frame` reaching its receiver: a downlink whose MH left
+  /// fails through `on_fail`, a duplicate wseq is suppressed, anything
+  /// else emits the recv and is handed to the MH or the MSS.
+  void land_frame(const Frame& frame, obs::EventId send_id, Envelope env,
+                  const FailCallback& on_fail);
 
   /// Consult the fault plane for this wireless frame; on loss, `why` is
   /// set to "crash" (dead cell) or "loss" (random drop).
   [[nodiscard]] bool wireless_frame_lost(std::uint32_t cell, const char** why);
   [[nodiscard]] sim::Duration retransmit_backoff(std::uint32_t attempt) const;
 
-  /// Wired arrival with crash/partition deferral: a message reaching a
-  /// crashed (or partitioned-off) MSS waits at its interface and is
-  /// re-offered when the outage window closes; the recv event fires only
-  /// at actual delivery. `send_clock` carries the sender's Lamport clock
-  /// when `send_id` is a cross-stream ref (sharded engine).
+  // --- wired hop ------------------------------------------------------------
+
+  /// One transmission on the wired channel from -> to: a latency draw
+  /// from the sender's lane, the fault plane's spike, and the channel's
+  /// FIFO clamp. Returns the arrival instant.
+  [[nodiscard]] sim::SimTime wired_transit(MssId from, MssId to);
+  /// Schedule `fn` on the calling slice as the arrival of a wired message
+  /// from -> to at `at`. A crashed or partitioned-off destination holds
+  /// it at its interface: `fn` is re-offered at the release instant, and
+  /// runs only at actual delivery. Cross-MSS hops on the sharded engine,
+  /// which has no fault plane, ride the window mailbox instead.
+  template <typename Fn>
+  void land_wired(MssId from, MssId to, sim::SimTime at, Fn fn);
+  /// Wired arrival: emit the recv and dispatch. `send_clock` carries the
+  /// sender's Lamport clock when `send_id` is a cross-stream ref (sharded
+  /// engine).
   void arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
                     Envelope env, std::uint64_t send_clock = 0);
-  /// Same deferral for the send_to_mh forward leg, which delivers via a
-  /// closure instead of dispatch. `detail` must be a static-lifetime tag
-  /// (callers pass literals): the view is captured across deferrals.
-  void arrive_deferred(MssId from, MssId at, obs::EventId send_id, std::uint64_t channel,
-                       ProtocolId proto, std::string_view detail,
-                       std::function<void()> deliver);
+  /// Arrival of the send_to_mh forward leg at the located MSS `at`: emit
+  /// the recv, then run `deliver` (the final downlink) under its cause.
+  template <typename Fn>
+  void arrive_forward(MssId from, MssId at, obs::EventId send_id, std::uint64_t channel,
+                      ProtocolId proto, Fn& deliver);
 
   void begin_crash(const fault::MssCrash& crash);
 
   void oracle_locate(MssId from, MhId target, LocateCallback cb);
   void broadcast_locate(MssId from, MhId target, LocateCallback cb);
+  /// Resolve a locate `delay` from now by the target's state: connected
+  /// and disconnected MHs answer at once, an in-transit one parks the
+  /// callback until its next join.
+  void settle_locate(sim::Duration delay, MssId from, MhId target, LocateCallback cb);
   void broadcast_round(std::uint64_t token);
 
   /// Join bookkeeping shared by Mss::handle_join: flush searches pending

@@ -212,10 +212,4 @@ std::optional<DecodedBinlog> decode_binlog(std::string_view bytes) {
   return decoded;
 }
 
-BinlogStats binlog_stats(const EventStream& stream) noexcept {
-  const BinLog& log = stream.binlog();
-  return BinlogStats{log.head(), log.dropped(), log.retained(),
-                     static_cast<std::uint64_t>(log.retained() * sizeof(BinRecord))};
-}
-
 }  // namespace mobidist::obs

@@ -173,15 +173,4 @@ struct DecodedBinlog {
 /// Parse a binlog file image; nullopt on a malformed or truncated file.
 [[nodiscard]] std::optional<DecodedBinlog> decode_binlog(std::string_view bytes);
 
-/// Telemetry-sink counters surfaced in BENCH provenance.
-struct BinlogStats {
-  std::uint64_t emitted = 0;   ///< events ever appended
-  std::uint64_t dropped = 0;   ///< events overwritten in the ring
-  std::uint64_t retained = 0;  ///< events currently held
-  std::uint64_t bytes = 0;     ///< retained × sizeof(BinRecord)
-};
-
-/// Snapshot the stream's binlog counters.
-[[nodiscard]] BinlogStats binlog_stats(const EventStream& stream) noexcept;
-
 }  // namespace mobidist::obs

@@ -21,19 +21,6 @@ void poisson_calls(net::Network& net, std::uint64_t count, double mean_gap,
 void paced_calls(net::Network& net, std::uint64_t count, sim::Duration gap,
                  sim::Duration start, std::function<void(std::uint64_t seq)> fn);
 
-/// Round-robin chooser over a host set (benches pick "the next sender").
-class RoundRobin {
- public:
-  explicit RoundRobin(std::vector<net::MhId> hosts) : hosts_(std::move(hosts)) {}
-
-  /// The next host in rotation (wraps around the set).
-  net::MhId next() { return hosts_[counter_++ % hosts_.size()]; }
-
- private:
-  std::vector<net::MhId> hosts_;
-  std::size_t counter_ = 0;
-};
-
 /// E5's controlled mobility process: interleaves MOB moves and MSG
 /// message-send callbacks at a fixed ratio, steering the *significant
 /// fraction* f of moves for a clustered group.

@@ -80,6 +80,55 @@ TEST(ExpScenario, JsonRoundTripIsStable) {
   EXPECT_EQ(exp::to_json(reparsed), text);
 }
 
+TEST(ExpScenario, EveryFaultFieldRoundTrips) {
+  auto spec = small_mutex_spec();
+  auto& f = spec.fault;
+  f.wireless_loss = 0.1;
+  f.wireless_dup = 0.05;
+  f.wireless_reorder = 0.02;
+  f.wireless_spike_max = 9;
+  f.wired_spike = 0.25;
+  f.wired_spike_max = 17;
+  f.crashes.push_back(fault::MssCrash{1, 120, 80});
+  f.partitions.push_back(fault::CellPartition{0, 2, 50, 90});
+  f.evacuate_on_crash = false;
+  f.drop_first_wireless = 3;
+  f.dup_first_wireless = 2;
+  f.rto_base = 64;
+  f.rto_cap = 512;
+  const auto text = exp::to_json(spec);
+  const auto reparsed = exp::parse_scenario(text);
+  EXPECT_EQ(exp::to_json(reparsed), text);
+  const auto& r = reparsed.fault;
+  EXPECT_DOUBLE_EQ(r.wireless_loss, 0.1);
+  EXPECT_DOUBLE_EQ(r.wireless_dup, 0.05);
+  EXPECT_DOUBLE_EQ(r.wireless_reorder, 0.02);
+  EXPECT_EQ(r.wireless_spike_max, 9u);
+  EXPECT_DOUBLE_EQ(r.wired_spike, 0.25);
+  EXPECT_EQ(r.wired_spike_max, 17u);
+  ASSERT_EQ(r.crashes.size(), 1u);
+  EXPECT_EQ(r.crashes[0].mss, 1u);
+  EXPECT_EQ(r.crashes[0].at, 120u);
+  EXPECT_EQ(r.crashes[0].down_for, 80u);
+  ASSERT_EQ(r.partitions.size(), 1u);
+  EXPECT_EQ(r.partitions[0].b, 2u);
+  EXPECT_EQ(r.partitions[0].until, 90u);
+  EXPECT_FALSE(r.evacuate_on_crash);
+  EXPECT_EQ(r.drop_first_wireless, 3u);
+  EXPECT_EQ(r.dup_first_wireless, 2u);
+  EXPECT_EQ(r.rto_base, 64u);
+  EXPECT_EQ(r.rto_cap, 512u);
+
+  // Default-valued extras emit nothing, keeping existing scenario
+  // renderings byte-stable.
+  auto plain = small_mutex_spec();
+  plain.fault.wireless_loss = 0.1;
+  const auto plain_text = exp::to_json(plain);
+  for (const char* key : {"spike_max", "evacuate_on_crash", "first_wireless", "rto_"}) {
+    EXPECT_EQ(plain_text.find(key), std::string::npos) << key;
+  }
+}
+
 TEST(ExpScenario, FormationSectionRoundTrips) {
   const auto spec = exp::parse_scenario(R"({
     "name": "t", "workload": "mutex", "variant": "l2",

@@ -37,6 +37,18 @@ std::size_t count_kind(const Network& net, obs::EventKind kind) {
   return n;
 }
 
+/// One sample per formed packet, valued at its message count: count()
+/// is the packets formed, sum() the messages they carried.
+const obs::Histogram& packet_msgs(const Network& net) {
+  return net.metrics().histograms().at("net.formation.packet_msgs");
+}
+
+/// Packets cut by `trigger`: "size" (count or bytes), "deadline" or
+/// "barrier".
+std::uint64_t flushes(const Network& net, const std::string& trigger) {
+  return net.metrics().counters().at("net.formation." + trigger + "_flushes").value();
+}
+
 // --------------------------------------------------------------------------
 // Construction / passthrough
 // --------------------------------------------------------------------------
@@ -50,7 +62,7 @@ TEST(Formation, PassthroughHasNoLayer) {
 TEST(Formation, BatchingConstructsLayer) {
   Network net(batching_config(10));
   ASSERT_NE(net.formation(), nullptr);
-  EXPECT_EQ(net.formation()->packets_formed(), 0u);
+  EXPECT_EQ(packet_msgs(net).count(), 0u);
 }
 
 TEST(Formation, ZeroMaxMsgsRejected) {
@@ -86,9 +98,10 @@ TEST(Formation, CountTriggerFlushesFullPacket) {
   for (const auto& r : h.mss[1]->received) EXPECT_EQ(r.at, 5u);
   EXPECT_EQ(count_kind(net, obs::EventKind::kPacketSend), 1u);
   EXPECT_EQ(count_kind(net, obs::EventKind::kPacketFlush), 1u);
-  EXPECT_EQ(net.formation()->size_flushes(), 1u);
-  EXPECT_EQ(net.formation()->msgs_enqueued(), 4u);
-  EXPECT_EQ(net.formation()->pending_msgs(), 0u);
+  EXPECT_EQ(flushes(net, "size"), 1u);
+  EXPECT_EQ(packet_msgs(net).sum(), 4u);
+  // Nothing left parked: every announced send rode a packet.
+  EXPECT_EQ(packet_msgs(net).sum(), count_kind(net, obs::EventKind::kSend));
   ExpectCleanEventStream(net);
 }
 
@@ -118,8 +131,8 @@ TEST(Formation, DeadlineTriggerFlushesPartialPacket) {
   // Flushed by the deadline timer at t=100, arriving one wired latency
   // later.
   for (const auto& r : h.mss[1]->received) EXPECT_EQ(r.at, 105u);
-  EXPECT_EQ(net.formation()->deadline_flushes(), 1u);
-  EXPECT_EQ(net.formation()->size_flushes(), 0u);
+  EXPECT_EQ(flushes(net, "deadline"), 1u);
+  EXPECT_EQ(flushes(net, "size"), 0u);
   ExpectCleanEventStream(net);
 }
 
@@ -133,8 +146,8 @@ TEST(Formation, StaleDeadlineTimerIsNoOp) {
   h.mss[0]->do_send_wired(mss_id(1), 2);  // count flush at t=0
   net.run();
   EXPECT_EQ(h.mss[1]->received.size(), 2u);
-  EXPECT_EQ(net.formation()->packets_formed(), 1u);
-  EXPECT_EQ(net.formation()->deadline_flushes(), 0u);
+  EXPECT_EQ(packet_msgs(net).count(), 1u);
+  EXPECT_EQ(flushes(net, "deadline"), 0u);
   ExpectCleanEventStream(net);
 }
 
@@ -147,7 +160,7 @@ TEST(Formation, PerPairQueuesAreIndependent) {
   h.mss[1]->do_send_wired(mss_id(2), 3);
   net.run();
   // Three (src,dst) pairs -> three deadline packets.
-  EXPECT_EQ(net.formation()->packets_formed(), 3u);
+  EXPECT_EQ(packet_msgs(net).count(), 3u);
   EXPECT_EQ(h.mss[1]->received.size(), 1u);
   EXPECT_EQ(h.mss[2]->received.size(), 2u);
   ExpectCleanEventStream(net);
@@ -161,7 +174,7 @@ TEST(Formation, SelfSendBypassesFormation) {
   net.run();
   ASSERT_EQ(h.mss[0]->received.size(), 1u);
   EXPECT_EQ(h.mss[0]->received[0].at, 0u);  // local dispatch, no deadline wait
-  EXPECT_EQ(net.formation()->msgs_enqueued(), 0u);
+  EXPECT_EQ(packet_msgs(net).sum(), 0u);
   ExpectCleanEventStream(net);
 }
 
@@ -212,7 +225,7 @@ TEST(Formation, ControlOnlyPacketIsFree) {
   // Handoff control traffic batched into packets, but nothing charged.
   EXPECT_EQ(net.ledger().fixed_msgs(), 0u);
   EXPECT_EQ(net.ledger().wired_packets(), 0u);
-  EXPECT_GT(net.formation()->packets_formed(), 0u);
+  EXPECT_GT(packet_msgs(net).count(), 0u);
   ExpectCleanEventStream(net);
 }
 
@@ -233,7 +246,7 @@ TEST(Formation, ForwardLegBarrierPreservesChannelFifo) {
   net.run();
   ASSERT_EQ(h.mss[1]->received.size(), 2u);
   EXPECT_EQ(h.mh[1]->received.size(), 1u);
-  EXPECT_GE(net.formation()->barrier_flushes(), 1u);
+  EXPECT_GE(flushes(net, "barrier"), 1u);
   bool saw_barrier_packet = false;
   for (const auto& ev : net.events().snapshot()) {
     if (ev.kind == obs::EventKind::kPacketSend && ev.detail == "barrier") {

@@ -709,6 +709,50 @@ TEST(ReliableWireless, DuplicatedUplinkIsSuppressedExactlyOnce) {
   ExpectCleanEventStream(net);
 }
 
+TEST(ReliableWireless, LostLeaveIsNotRetransmittedAfterTheNextJoin) {
+  Network net(small_config(3, 6));
+  fault::FaultProfile profile;
+  profile.drop_first_wireless = 1;
+  net.install_fault_plane(profile);
+  net.start();
+  net.mh(mh_id(1)).move_to(mss_id(2), 2);
+  net.run();
+  // The Leave is dropped at t=0 and the MH joins cell 2 at t=4, so the
+  // Leave's t=16 retry describes a departure the join superseded: it is
+  // abandoned, not sent again.
+  EXPECT_EQ(net.current_mss_of(mh_id(1)), mss_id(2));
+  const auto old_uplink = Network::channel_key(Network::ChannelType::kUplink, 1, 1);
+  std::size_t sends = 0;
+  std::size_t recvs = 0;
+  for (const auto& ev : net.events().snapshot()) {
+    if (ev.channel != old_uplink) continue;
+    if (ev.kind == obs::EventKind::kSend) ++sends;
+    if (ev.kind == obs::EventKind::kRecv) ++recvs;
+  }
+  EXPECT_EQ(sends, 1u);
+  EXPECT_EQ(recvs, 0u);
+  ExpectCleanEventStream(net);
+}
+
+TEST(ReliableWireless, LostJoinStopsRetryingOnceConnected) {
+  Network net(small_config(4, 8));
+  net.start();
+  net.mh(mh_id(1)).disconnect();  // its Disconnect frame predates the plane
+  fault::FaultProfile profile;
+  profile.drop_first_wireless = 1;
+  net.install_fault_plane(profile);
+  net.mh(mh_id(1)).reconnect_at(mss_id(2), 1);
+  net.mh(mh_id(1)).reconnect_at(mss_id(3), 3);
+  net.run();
+  // The join to cell 2 is dropped at t=1; the join to cell 3 connects
+  // the MH at t=5. The first join's t=17 retry finds the MH connected
+  // and gives up instead of re-joining cell 2.
+  EXPECT_EQ(net.current_mss_of(mh_id(1)), mss_id(3));
+  EXPECT_FALSE(net.mss(mss_id(2)).is_local(mh_id(1)));
+  EXPECT_EQ(net.stats().joins, 1u);
+  ExpectCleanEventStream(net);
+}
+
 // --------------------------------------------------------------------------
 // Trace instrumentation
 // --------------------------------------------------------------------------

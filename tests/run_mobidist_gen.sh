@@ -5,7 +5,8 @@
 #      twice produces byte-identical scenario files.
 #   2. The generated document is real ScenarioSpec JSON: mobidist_sweep
 #      parses and runs it (the generator also self-validates by
-#      re-parsing before writing, but this pins the consumer side).
+#      re-parsing before writing, but this pins the consumer side), and
+#      every fault field set with --set reaches the written file.
 #   3. At 1e5-MH scale the generated scenario's deterministic artifact
 #      is byte-identical across --jobs 1 and --jobs 4 — the same
 #      grouping-independence guarantee the hand-written scenarios carry.
@@ -39,6 +40,22 @@ if "$gen" --model teleport --mh 100 --out "$tmp/bad.json" > /dev/null 2>&1; then
   echo "run_mobidist_gen: unknown model was accepted" >&2
   exit 1
 fi
+
+# Fault fields set with --set must survive the generator's own round
+# trip and reach the written file.
+if ! "$gen" --model commuter --mh 2000 --out "$tmp/drop.json" \
+  --set fault.drop_first_wireless=3 > /dev/null 2>&1; then
+  echo "run_mobidist_gen: fault.drop_first_wireless did not round-trip" >&2
+  exit 1
+fi
+"$gen" --model commuter --mh 2000 --out "$tmp/rto.json" --set fault.wireless_loss=0.1 \
+  --set fault.rto_base=64 --set fault.evacuate_on_crash=0 > /dev/null 2>&1
+for field in '"rto_base":64' '"evacuate_on_crash":false'; do
+  if ! grep -qF "$field" "$tmp/rto.json"; then
+    echo "run_mobidist_gen: generated fault section lacks $field" >&2
+    exit 1
+  fi
+done
 
 # 2 + 3. The 1e5-MH leg: run the generated scenario end to end at two
 # job counts; deterministic artifacts must be byte-identical.

@@ -18,8 +18,8 @@ documented if its own line carries a trailing `///<` comment.
 
 The check is a line-based heuristic tuned to this repository's style
 (Core Guidelines formatting, clang-format discipline); it is wired
-into CTest as `doc_comments` so an undocumented public symbol in
-src/sim or src/net fails the suite. Exit status: 0 clean, 1 with one
+into CTest as `doc_comments` so an undocumented public symbol in any
+module under src/ fails the suite. Exit status: 0 clean, 1 with one
 `file:line: symbol` diagnostic per missing doc.
 """
 
