@@ -778,10 +778,14 @@ void build_scale(ScenarioContext& ctx) {
 
 // --- harvest ---------------------------------------------------------------
 
-/// `merged` is the canonical merged trace when the run used the sharded
-/// engine (whose per-shard streams it supersedes), nullptr for legacy.
+/// Crash and recover events in the checked trace.
+struct FaultTally {
+  std::uint64_t crashes = 0;
+  std::uint64_t recoveries = 0;
+};
+
 void harvest(RunResult& result, const ScenarioSpec& spec, const net::Network& net,
-             ScenarioContext& ctx, const std::vector<obs::Event>* merged) {
+             ScenarioContext& ctx, const FaultTally& tally) {
   auto& m = result.metrics;
   const auto& ledger = net.ledger();
   m["cost.total"] = ledger.total(spec.cost);
@@ -797,19 +801,8 @@ void harvest(RunResult& result, const ScenarioSpec& spec, const net::Network& ne
   m["events.emitted"] = static_cast<double>(net.events_emitted());
   m["events.dropped"] = static_cast<double>(net.events_dropped());
 
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
-  const auto count_event = [&](const obs::Event& event) {
-    if (event.kind == obs::EventKind::kMssCrash) ++crashes;
-    if (event.kind == obs::EventKind::kMssRecover) ++recoveries;
-  };
-  if (merged != nullptr) {
-    for (const auto& event : *merged) count_event(event);
-  } else {
-    net.events().for_each(count_event);
-  }
-  m["events.mss_crash"] = static_cast<double>(crashes);
-  m["events.mss_recover"] = static_cast<double>(recoveries);
+  m["events.mss_crash"] = static_cast<double>(tally.crashes);
+  m["events.mss_recover"] = static_cast<double>(tally.recoveries);
 
   for (const auto& [name, counter] : net.metrics().counters()) {
     m[name] = static_cast<double>(counter.value());
@@ -942,12 +935,17 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
     // Every run is a correctness oracle: the paper's safety properties
     // must hold on the event stream it just produced. The sharded engine
     // is checked on its canonical merged trace (per-shard streams are
-    // partial views with cross-stream cause refs).
-    std::vector<obs::Event> merged;
-    if (net.sharded()) merged = net.merged_events();
-    const auto failures = net.sharded()
-                              ? obs::check_all(std::span<const obs::Event>(merged))
-                              : obs::check_all(net.events());
+    // partial views with cross-stream cause refs), read from the rings
+    // in place; the same visit tallies crashes for the harvest.
+    obs::TraceChecker checker;
+    checker.reserve(net.events_emitted() - net.events_dropped());
+    FaultTally tally;
+    net.for_each_event([&](const obs::Event& event) {
+      checker.feed(event);
+      if (event.kind == obs::EventKind::kMssCrash) ++tally.crashes;
+      if (event.kind == obs::EventKind::kMssRecover) ++tally.recoveries;
+    });
+    const auto failures = checker.finish();
     if (!failures.empty()) {
       result.error = "trace checkers failed:";
       const std::size_t shown = std::min<std::size_t>(failures.size(), 5);
@@ -960,7 +958,7 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
       return result;
     }
 
-    harvest(result, spec, net, ctx, net.sharded() ? &merged : nullptr);
+    harvest(result, spec, net, ctx, tally);
     result.ok = true;
 
     const std::string trace_dir = core::resolve_env_dir("MOBIDIST_TRACE_DIR", "");
@@ -972,6 +970,7 @@ RunResult run_scenario(const RunPlan& plan, const WorkloadLibrary& workloads) {
         // record — identical bytes for every shard count. The binlog
         // format is a single-ring serialization, so sharded runs fall
         // back to JSONL even under MOBIDIST_TRACE_FORMAT=binlog.
+        const auto merged = net.merged_events();
         const std::span<const obs::Event> view(merged);
         core::write_text_file(base + ".jsonl", obs::to_jsonl(view));
         core::write_text_file(base + ".trace.json", obs::to_chrome_trace(view));

@@ -163,11 +163,23 @@ std::uint64_t Network::events_dropped() const noexcept {
   return total;
 }
 
-std::vector<obs::Event> Network::merged_events() const {
+std::vector<const obs::EventStream*> Network::streams() const {
   std::vector<const obs::EventStream*> streams;
   streams.reserve(slices_.size());
   for (const auto& slice : slices_) streams.push_back(&slice->events);
-  return obs::merge_canonical(streams, [this](obs::Entity e) { return lane_of(e); });
+  return streams;
+}
+
+void Network::for_each_event(const std::function<void(const obs::Event&)>& fn) const {
+  if (!sharded()) {
+    slices_[0]->events.for_each(fn);
+    return;
+  }
+  obs::for_each_canonical(streams(), [this](obs::Entity e) { return lane_of(e); }, fn);
+}
+
+std::vector<obs::Event> Network::merged_events() const {
+  return obs::merge_canonical(streams(), [this](obs::Entity e) { return lane_of(e); });
 }
 
 fault::FaultPlane& Network::install_fault_plane(fault::FaultProfile profile) {

@@ -218,14 +218,20 @@ class Network {
   [[nodiscard]] std::uint64_t events_emitted() const noexcept;
   /// Structured events evicted by ring wraparound, summed across shards.
   [[nodiscard]] std::uint64_t events_dropped() const noexcept;
+  /// Visit the run's trace, read from the telemetry rings in place: the
+  /// legacy engine's one ring in id order, or the sharded engine's
+  /// canonical merge (obs::for_each_canonical). This is the trace
+  /// exp::run_scenario checks.
+  void for_each_event(const std::function<void(const obs::Event&)>& fn) const;
   /// The canonical whole-system trace: all shards' streams merged into
-  /// the shard-count-independent order (see obs::merge_canonical).
+  /// the shard-count-independent order (see obs::for_each_canonical).
   /// Byte-identical across shard counts only while events_dropped() is
   /// zero — ring eviction is per-slice, so once any ring wraps the
   /// retained prefix depends on how emits were grouped.
   /// Detail views point into the shard streams' intern tables — they
   /// stay valid for the Network's lifetime. In the legacy engine this
-  /// is simply a renumbered snapshot of the single stream.
+  /// is the single stream sorted into the same (at, lane) order and
+  /// renumbered.
   [[nodiscard]] std::vector<obs::Event> merged_events() const;
 
   // --- fault injection ------------------------------------------------------
@@ -349,6 +355,9 @@ class Network {
  private:
   friend class Mss;
   friend class MobileHost;
+
+  /// Every slice's event stream, in slice order.
+  [[nodiscard]] std::vector<const obs::EventStream*> streams() const;
 
   struct PendingLocate {
     MssId from;

@@ -15,7 +15,7 @@ namespace mobidist::obs {
 // send) lives in a *different* stream, so its plain EventId would be
 // meaningless at the receiver. The sender instead hands over an encoded
 // reference — bit 63 set, the sender's stream index, and the sender-local
-// id — which merge_canonical() resolves to the final merged id. Encoded
+// id — which for_each_canonical() resolves to the final merged id. Encoded
 // refs never collide with real ids (streams are bounded far below 2^63),
 // and lamport_of() on one simply misses (returns 0), which is why
 // cross-shard emits carry the parent's clock via Emit::cause_clock.
@@ -50,18 +50,23 @@ inline constexpr unsigned kCrossStreamIdBits = 40;
 /// execution; in the net layer, the owning cell's MSS index).
 using LaneOf = std::function<std::uint32_t(Entity)>;
 
-/// Merge per-shard event streams into one canonical trace whose bytes are
-/// independent of the shard count.
+/// Visit the canonical merge of per-shard event streams: one trace whose
+/// bytes are independent of the shard count.
 ///
 /// The only ordering the sharded engine guarantees across shard counts is
 /// the *per-lane* projection: each lane's events keep their relative
 /// order, while the interleaving between lanes (scheduler seq tie-breaks
 /// within a shared shard) varies with the grouping. The merge therefore
-/// sorts by (at, lane, position-within-lane) — a total order over events
-/// that is a pure function of the per-lane sequences — then reassigns
-/// dense 1-based ids and rewrites every cause (same-stream ids and
-/// encoded cross-stream refs alike) through the old→new maps. Causes
-/// whose parent was evicted from its ring resolve to 0.
+/// orders records by (at, lane, position-within-lane) — a total order
+/// that is a pure function of the per-lane sequences. It sorts one
+/// 16-byte key per retained record, (at, lane, global position), where
+/// the global position is the stream's offset plus the record's ring
+/// position: within one lane that orders records exactly as their
+/// positions within the lane would. `fn` then sees every record in that
+/// order, decoded once, with dense 1-based ids and every cause
+/// (same-stream ids and encoded cross-stream refs alike) rewritten
+/// through a u32 inverse permutation. Causes whose parent was evicted
+/// from its ring resolve to 0.
 ///
 /// Caveat: byte-stability across shard counts additionally requires that
 /// no stream dropped events (per-shard rings fill at different rates for
@@ -69,7 +74,11 @@ using LaneOf = std::function<std::uint32_t(Entity)>;
 /// gating on byte-identity should check EventStream::dropped() == 0.
 ///
 /// Event::detail views point into the source streams' intern tables —
-/// keep the streams alive while using the result.
+/// keep the streams alive while using them.
+void for_each_canonical(std::span<const EventStream* const> streams, const LaneOf& lane_of,
+                        const std::function<void(const Event&)>& fn);
+
+/// The canonical merge collected into a vector (see for_each_canonical).
 [[nodiscard]] std::vector<Event> merge_canonical(
     std::span<const EventStream* const> streams, const LaneOf& lane_of);
 

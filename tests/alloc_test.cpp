@@ -3,7 +3,8 @@
 // delete with counting wrappers; the counters let tests assert that the
 // scheduler's schedule -> fire cycle, Body's small-buffer payloads, a
 // Network message round trip and Lamport's request queue perform no heap
-// traffic at steady state.
+// traffic at steady state, and that checking a full trace costs a few
+// table growths rather than an allocation per event.
 
 #include <cstdint>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "net/agent.hpp"
 #include "net/body.hpp"
 #include "net/network.hpp"
+#include "obs/checkers.hpp"
 #include "obs/events.hpp"
 #include "sim/scheduler.hpp"
 
@@ -373,6 +375,97 @@ TEST(NetworkAlloc, EchoRoundTripDoesNotAllocateAfterWarmup) {
   EXPECT_EQ(count, 0u) << "Network echo round trip allocated";
   for (const auto& host : hosts) EXPECT_EQ(host->echoes, 101u);
   EXPECT_EQ(net.ledger().wireless_msgs(), 2u * 64u * 101u);
+}
+
+// The single-pass checker claim: what it remembers per event lives in
+// id-indexed vectors and per-channel / per-entity slot tables, so
+// checking a full 2^18-record ring costs a few dozen table growths, not a
+// hash node per event (the map-based checkers made 412 973 allocations
+// on l2_64x1k's full stream).
+TEST(TraceCheckerAlloc, FullRingChecksInFewAllocations) {
+  constexpr std::uint32_t kMss = 64;
+  constexpr std::uint32_t kMh = 1024;
+  obs::EventStream stream;
+  // L2-shaped traffic: wired messages over 4 096 MSS pairs, each batched
+  // into a one-message packet, and a critical section per step.
+  constexpr std::uint64_t kEmits = obs::EventStream::kDefaultCapacity * 5 / 4;
+  for (std::uint64_t step = 0; stream.emitted() < kEmits; ++step) {
+    const auto from = obs::Entity::mss(static_cast<std::uint32_t>(step % kMss));
+    const auto to = obs::Entity::mss(static_cast<std::uint32_t>(step / kMss % kMss));
+    const std::uint64_t channel = 1 + from.idx * kMss + to.idx;
+    const auto mh = obs::Entity::mh(static_cast<std::uint32_t>(step % kMh));
+    const sim::SimTime t = 4 * step;
+    const auto send = stream.emit(t, {.kind = obs::EventKind::kSend, .entity = from,
+                                      .peer = to, .channel = channel, .detail = "L2"});
+    const auto packet = stream.emit(t, {.kind = obs::EventKind::kPacketSend,
+                                        .entity = from,
+                                        .peer = to,
+                                        .channel = channel,
+                                        .arg = 1});
+    stream.emit(t + 1, {.kind = obs::EventKind::kPacketFlush, .entity = to, .peer = from,
+                        .cause = packet, .channel = channel, .arg = 1});
+    stream.emit(t + 1, {.kind = obs::EventKind::kRecv, .entity = to, .peer = from,
+                        .cause = send, .channel = channel, .detail = "L2"});
+    stream.emit(t + 2, {.kind = obs::EventKind::kCsEnter, .entity = mh, .detail = "L2"});
+    stream.emit(t + 3, {.kind = obs::EventKind::kCsExit, .entity = mh, .detail = "L2"});
+  }
+  ASSERT_EQ(stream.retained(), obs::EventStream::kDefaultCapacity);
+  ASSERT_GT(stream.dropped(), 0u);
+
+  std::vector<obs::CheckFailure> failures;
+  const auto count = allocations_during([&] { failures = obs::check_all(stream); });
+  EXPECT_TRUE(failures.empty()) << obs::to_string(failures.front());
+  EXPECT_LT(count, 1000u) << "checking a full ring allocated per event";
+}
+
+/// Echo host that pings again on every echo until its budget is spent.
+class RepeatingEchoHost : public net::MhAgent {
+ public:
+  explicit RepeatingEchoHost(std::uint64_t pings) : left_(pings) {}
+  void on_message(const net::Envelope&) override {
+    if (--left_ > 0) ping();
+  }
+  void ping() { send_uplink(std::uint64_t{7}); }
+
+ private:
+  std::uint64_t left_;
+};
+
+// The same claim through the sharded engine's path: a 2-shard echo run
+// whose rings are both full, visited through Network::for_each_event (the
+// canonical merge read from the rings in place) into the checker, as
+// exp::run_scenario does. The merged_events() copy plus check_all made
+// 1 779 950 allocations on echo_100k_s2.
+TEST(TraceCheckerAlloc, ShardedEchoRunChecksInPlaceInFewAllocations) {
+  net::NetConfig cfg;
+  cfg.num_mss = 4;
+  cfg.num_mh = 256;
+  cfg.shards = 2;
+  net::Network net(cfg);
+  for (std::uint32_t s = 0; s < cfg.num_mss; ++s) {
+    net.mss(static_cast<net::MssId>(s))
+        .register_agent(net::protocol::kUserBase, std::make_shared<EchoStation>());
+  }
+  for (std::uint32_t h = 0; h < cfg.num_mh; ++h) {
+    auto host = std::make_shared<RepeatingEchoHost>(700);
+    net.mh(static_cast<net::MhId>(h)).register_agent(net::protocol::kUserBase, host);
+    net.schedule_on_lane(net.lane_of(obs::Entity::mh(h)), 1 + h % 7,
+                         [driver = host.get()] { driver->ping(); });
+  }
+  net.run();
+  ASSERT_EQ(net.events_emitted() - net.events_dropped(),
+            2 * obs::EventStream::kDefaultCapacity)
+      << "both shards' rings must be full";
+
+  std::vector<obs::CheckFailure> failures;
+  const auto count = allocations_during([&] {
+    obs::TraceChecker checker;
+    checker.reserve(net.events_emitted() - net.events_dropped());
+    net.for_each_event([&checker](const obs::Event& ev) { checker.feed(ev); });
+    failures = checker.finish();
+  });
+  EXPECT_TRUE(failures.empty()) << obs::to_string(failures.front());
+  EXPECT_LT(count, 1000u) << "checking a sharded run allocated per event";
 }
 
 }  // namespace

@@ -254,8 +254,8 @@ TEST(Formation, ForwardLegBarrierPreservesChannelFifo) {
     }
   }
   EXPECT_TRUE(saw_barrier_packet);
-  // check_channel_fifo + check_packet_fifo together prove no reorder
-  // across the flush boundary.
+  // The channel_fifo and packet_fifo checkers together prove no
+  // reorder across the flush boundary.
   ExpectCleanEventStream(net);
 }
 

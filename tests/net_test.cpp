@@ -995,12 +995,11 @@ ChainTotals run_wired_chain(std::uint32_t shards, FormationConfig formation = {}
   net.run();
 
   ChainTotals totals;
-  const auto merged = net.merged_events();
-  for (const auto& failure : obs::check_all(std::span<const obs::Event>(merged))) {
-    ADD_FAILURE() << "checker failed (shards=" << shards
-                  << "): " << obs::to_string(failure);
+  {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExpectCleanEventStream(net);
   }
-  totals.jsonl = obs::to_jsonl(std::span<const obs::Event>(merged));
+  totals.jsonl = obs::to_jsonl(std::span<const obs::Event>(net.merged_events()));
   totals.fixed_msgs = net.ledger().fixed_msgs();
   totals.wired_packets = net.ledger().wired_packets();
   totals.fired = net.total_fired();

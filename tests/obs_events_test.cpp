@@ -341,12 +341,22 @@ Event make(EventId id, sim::SimTime at, EventKind kind, Entity entity,
   return ev;
 }
 
+/// check_all's failures from one checker.
+std::vector<obs::CheckFailure> failures_of(std::span<const Event> events,
+                                           std::string_view checker) {
+  std::vector<obs::CheckFailure> picked;
+  for (auto& failure : obs::check_all(events)) {
+    if (failure.checker == checker) picked.push_back(std::move(failure));
+  }
+  return picked;
+}
+
 TEST(Checkers, TwoHostsInsideTheCriticalSection) {
   std::vector<Event> events;
   events.push_back(make(1, 10, EventKind::kCsEnter, Entity::mh(0), "L1"));
   events.push_back(make(2, 12, EventKind::kCsEnter, Entity::mh(1), "L1"));
   events.push_back(make(3, 14, EventKind::kCsExit, Entity::mh(1), "L1"));
-  const auto failures = obs::check_cs_exclusion(events);
+  const auto failures = failures_of(events, "cs_exclusion");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "cs_exclusion");
   EXPECT_EQ(failures[0].event, 2u);
@@ -357,7 +367,7 @@ TEST(Checkers, TwoHostsInsideTheCriticalSection) {
   // algorithms sharing a network: no violation.
   events[1].detail = "R2";
   events[2].detail = "R2";
-  EXPECT_TRUE(obs::check_cs_exclusion(events).empty());
+  EXPECT_TRUE(failures_of(events, "cs_exclusion").empty());
 }
 
 TEST(Checkers, ReorderedFifoDelivery) {
@@ -379,7 +389,7 @@ TEST(Checkers, ReorderedFifoDelivery) {
   events.push_back(send(2));
   events.push_back(recv(3, 2));  // second send overtakes the first
   events.push_back(recv(4, 1));
-  const auto failures = obs::check_channel_fifo(events);
+  const auto failures = failures_of(events, "channel_fifo");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "channel_fifo");
   EXPECT_EQ(failures[0].event, 4u);
@@ -394,14 +404,14 @@ TEST(Checkers, ReorderedFifoDelivery) {
   ok.push_back(send(3));
   ok.push_back(recv(4, 1));
   ok.push_back(recv(5, 3));  // send 2 lost: allowed
-  EXPECT_TRUE(obs::check_channel_fifo(ok).empty());
+  EXPECT_TRUE(failures_of(ok, "channel_fifo").empty());
 }
 
 TEST(Checkers, DuplicateToken) {
   std::vector<Event> events;
   events.push_back(make(1, 10, EventKind::kTokenArrive, Entity::mss(0), "R2"));
   events.push_back(make(2, 15, EventKind::kTokenArrive, Entity::mss(1), "R2"));
-  const auto failures = obs::check_token_circulation(events);
+  const auto failures = failures_of(events, "token_circulation");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "token_circulation");
   EXPECT_EQ(failures[0].event, 2u);
@@ -414,7 +424,7 @@ TEST(Checkers, DuplicateToken) {
   Event depart = make(2, 12, EventKind::kTokenDepart, Entity::mss(2), "R1");
   depart.peer = Entity::mss(3);
   forged.push_back(depart);
-  const auto forged_failures = obs::check_token_circulation(forged);
+  const auto forged_failures = failures_of(forged, "token_circulation");
   ASSERT_EQ(forged_failures.size(), 1u);
   EXPECT_NE(forged_failures[0].diagnostic.find("mss:0 holds it"), std::string::npos);
 
@@ -426,7 +436,7 @@ TEST(Checkers, DuplicateToken) {
   hop.peer = Entity::mh(4);
   family.push_back(hop);
   family.push_back(make(3, 14, EventKind::kTokenArrive, Entity::mh(4), "R2'"));
-  EXPECT_TRUE(obs::check_token_circulation(family).empty());
+  EXPECT_TRUE(failures_of(family, "token_circulation").empty());
 }
 
 TEST(Checkers, StaleAccessCountReplay) {
@@ -441,7 +451,7 @@ TEST(Checkers, StaleAccessCountReplay) {
   events.push_back(grant(2, 7, 5));  // different MH, same traversal: fine
   events.push_back(grant(3, 7, 3));  // second grant to mh:3 in traversal 7
   events.push_back(grant(4, 8, 3));  // next traversal: fine again
-  const auto failures = obs::check_traversal_cap(events);
+  const auto failures = failures_of(events, "traversal_cap");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "traversal_cap");
   EXPECT_EQ(failures[0].event, 3u);
@@ -452,11 +462,11 @@ TEST(Checkers, StaleAccessCountReplay) {
   // Plain R2 departures (racing allowed), malicious-run grants (R2'!),
   // and stale-snapshot repeats (R2'~) are exempt by construction.
   for (auto& ev : events) ev.detail = "R2";
-  EXPECT_TRUE(obs::check_traversal_cap(events).empty());
+  EXPECT_TRUE(failures_of(events, "traversal_cap").empty());
   for (auto& ev : events) ev.detail = "R2'!";
-  EXPECT_TRUE(obs::check_traversal_cap(events).empty());
+  EXPECT_TRUE(failures_of(events, "traversal_cap").empty());
   for (auto& ev : events) ev.detail = "R2'~";
-  EXPECT_TRUE(obs::check_traversal_cap(events).empty());
+  EXPECT_TRUE(failures_of(events, "traversal_cap").empty());
 }
 
 TEST(Checkers, StuckLamportClockAcrossCausalEdge) {
@@ -470,7 +480,7 @@ TEST(Checkers, StuckLamportClockAcrossCausalEdge) {
   child.lamport = 5;  // must be > 5
   child.cause = 1;
   events.push_back(child);
-  const auto failures = obs::check_causal_clocks(events);
+  const auto failures = failures_of(events, "causal_clocks");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "causal_clocks");
   EXPECT_EQ(failures[0].event, 2u);
@@ -486,7 +496,7 @@ TEST(Checkers, StuckLamportClockAcrossCausalEdge) {
   second.seq = 2;  // repeated
   second.lamport = 2;
   seqs.push_back(second);
-  const auto seq_failures = obs::check_causal_clocks(seqs);
+  const auto seq_failures = failures_of(seqs, "causal_clocks");
   ASSERT_EQ(seq_failures.size(), 1u);
   EXPECT_NE(seq_failures[0].diagnostic.find("sequence not strictly increasing"),
             std::string::npos);
@@ -506,7 +516,7 @@ TEST(Checkers, GhostDeliveryFromDroppedSend) {
   recv.cause = 1;  // consumes the very send the plane killed
   recv.channel = 9;
   events.push_back(recv);
-  const auto failures = obs::check_fault_delivery(events);
+  const auto failures = failures_of(events, "fault_delivery");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "fault_delivery");
   EXPECT_EQ(failures[0].event, 3u);
@@ -514,14 +524,14 @@ TEST(Checkers, GhostDeliveryFromDroppedSend) {
 
   // A recv consuming a *different* (retransmitted) send is clean.
   events[2].cause = 4;
-  EXPECT_TRUE(obs::check_fault_delivery(events).empty());
+  EXPECT_TRUE(failures_of(events, "fault_delivery").empty());
 }
 
 TEST(Checkers, CrashRecoverMustAlternatePerMss) {
   std::vector<Event> events;
   events.push_back(make(1, 100, EventKind::kMssCrash, Entity::mss(1)));
   events.push_back(make(2, 120, EventKind::kMssCrash, Entity::mss(1)));  // still down
-  const auto failures = obs::check_fault_delivery(events);
+  const auto failures = failures_of(events, "fault_delivery");
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].checker, "fault_delivery");
   EXPECT_NE(failures[0].diagnostic.find("while already down"), std::string::npos);
@@ -530,7 +540,7 @@ TEST(Checkers, CrashRecoverMustAlternatePerMss) {
   twice.push_back(make(1, 100, EventKind::kMssCrash, Entity::mss(1)));
   twice.push_back(make(2, 150, EventKind::kMssRecover, Entity::mss(1)));
   twice.push_back(make(3, 160, EventKind::kMssRecover, Entity::mss(1)));
-  const auto double_up = obs::check_fault_delivery(twice);
+  const auto double_up = failures_of(twice, "fault_delivery");
   ASSERT_EQ(double_up.size(), 1u);
   EXPECT_NE(double_up[0].diagnostic.find("was not down"), std::string::npos);
 
@@ -543,7 +553,43 @@ TEST(Checkers, CrashRecoverMustAlternatePerMss) {
   ok.push_back(make(3, 150, EventKind::kMssRecover, Entity::mss(1)));
   ok.push_back(make(4, 400, EventKind::kMssCrash, Entity::mss(1)));
   ok.push_back(make(5, 425, EventKind::kMssRecover, Entity::mss(1)));
-  EXPECT_TRUE(obs::check_fault_delivery(ok).empty());
+  EXPECT_TRUE(failures_of(ok, "fault_delivery").empty());
+}
+
+TEST(Checkers, BrokenIdsStopTheCheckWithOneFailure) {
+  // A clean CS hand-off whose ids break once: every state the checker
+  // keeps is indexed by id - first id, so a break must stop it, loudly.
+  const auto trace = [](std::vector<EventId> ids) {
+    std::vector<Event> events;
+    const EventKind kinds[] = {EventKind::kCsEnter, EventKind::kCsExit,
+                               EventKind::kCsEnter, EventKind::kCsExit};
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      Event ev = make(ids[i], 10 + i, kinds[i], Entity::mh(i < 2 ? 0 : 1), "L1");
+      ev.seq = 1 + i % 2;
+      events.push_back(ev);
+    }
+    return events;
+  };
+  // A suffix may start at any id.
+  EXPECT_TRUE(obs::check_all(trace({5, 6, 7, 8})).empty());
+
+  const auto gap = obs::check_all(trace({5, 6, 8, 9}));
+  ASSERT_EQ(gap.size(), 1u);
+  EXPECT_EQ(gap[0].checker, "event_ids");
+  EXPECT_EQ(gap[0].event, 8u);
+  EXPECT_NE(gap[0].diagnostic.find("event id 8 follows event id 6"), std::string::npos);
+  EXPECT_NE(gap[0].diagnostic.find("checking stopped here"), std::string::npos);
+
+  const auto repeat = obs::check_all(trace({5, 6, 6, 7}));
+  ASSERT_EQ(repeat.size(), 1u);
+  EXPECT_EQ(repeat[0].checker, "event_ids");
+  EXPECT_EQ(repeat[0].event, 6u);
+  EXPECT_NE(repeat[0].diagnostic.find("event id 6 follows event id 6"),
+            std::string::npos);
+
+  const auto zero = obs::check_all(trace({0, 1, 2, 3}));
+  ASSERT_EQ(zero.size(), 1u);
+  EXPECT_EQ(zero[0].checker, "event_ids");
 }
 
 TEST(Checkers, CheckAllConcatenatesEveryChecker) {

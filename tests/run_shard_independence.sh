@@ -5,6 +5,9 @@
 # the deterministic artifact AND every per-run merged event trace must
 # be byte-identical across shards {1,2,4,8}.
 #
+# Every trace exported at shards 2, 4 and 8 is also re-checked offline
+# by tools/trace_check, so the offline checker sees sharded exports too.
+#
 # Two distinct properties are pinned per scenario:
 #   * shard-safe workloads (scale) actually run the sharded engine, so
 #     equality proves the conservative-window protocol + canonical merge
@@ -17,10 +20,13 @@ set -euo pipefail
 build_dir=${1:?usage: run_shard_independence.sh <build-dir> <source-dir>}
 source_dir=${2:?usage: run_shard_independence.sh <build-dir> <source-dir>}
 cli="$build_dir/tools/mobidist_sweep"
-if [ ! -x "$cli" ]; then
-  echo "run_shard_independence: missing binary $cli (build first)" >&2
-  exit 1
-fi
+checker="$build_dir/tools/trace_check"
+for bin in "$cli" "$checker"; do
+  if [ ! -x "$bin" ]; then
+    echo "run_shard_independence: missing binary $bin (build first)" >&2
+    exit 1
+  fi
+done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -56,10 +62,19 @@ for scenario in "$source_dir"/scenarios/*.json; do
       fi
     done
   done
+  for shards in 2 4 8; do
+    for trace in "$tmp/$name/s$shards"/TRACE_*.jsonl; do
+      if ! "$checker" "$trace" > /dev/null; then
+        echo "run_shard_independence: trace_check rejects $name/s$shards/$(basename "$trace")" >&2
+        status=1
+      fi
+    done
+  done
 done
 
 if [ "$status" -ne 0 ]; then
   echo "run_shard_independence: per-seed results depend on the shard count" >&2
   exit "$status"
 fi
-echo "run_shard_independence: artifacts and merged traces byte-identical across shards {1,2,4,8}"
+echo "run_shard_independence: artifacts and merged traces byte-identical across shards {1,2,4,8};" \
+     "trace_check passes every trace exported at shards {2,4,8}"

@@ -148,12 +148,14 @@ inline NetConfig small_config(std::uint32_t m = 3, std::uint32_t n = 6) {
   return cfg;
 }
 
-/// Run every obs checker over the network's event stream and report
-/// each violation as a test failure. Call at the end of any scenario
-/// that exercised real protocol traffic.
+/// Run every obs checker over the network's trace (the legacy ring, or
+/// the sharded engine's canonical merge, via Network::for_each_event)
+/// and report each violation as a test failure. Call at the end of any
+/// scenario that exercised real protocol traffic.
 inline void ExpectCleanEventStream(const Network& net) {
-  const auto failures = obs::check_all(net.events());
-  for (const auto& failure : failures) {
+  obs::TraceChecker checker;
+  net.for_each_event([&checker](const obs::Event& ev) { checker.feed(ev); });
+  for (const auto& failure : checker.finish()) {
     ADD_FAILURE() << "event-stream checker failed: " << obs::to_string(failure);
   }
 }

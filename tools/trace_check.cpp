@@ -1,6 +1,7 @@
 // Offline validator for exported event-stream artifacts: reads a
 // TRACE_*.jsonl file, re-runs every obs checker over it, and exits
-// non-zero on a malformed line or an invariant violation. Used by
+// non-zero on a malformed line, a break in the event ids (a deleted or
+// repeated line), or an invariant violation. Used by
 // tests/run_trace_check.sh to validate bench traces from outside the
 // process that produced them.
 
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     }
     events.push_back(std::move(*event));
   }
-  // check_all includes check_fault_delivery, so fault-injected traces
+  // check_all includes the fault_delivery checker, so fault-injected traces
   // are verified end to end: no recv may be causally parented to a send
   // the fault plane dropped, and crash/recover events must alternate.
   const auto failures = mobidist::obs::check_all(events);
