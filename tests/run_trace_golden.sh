@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Golden-trace gate, registered with ctest as `trace_golden`. Replays the
 # small scale_smoke and mutex_smoke scenarios with tracing on and
-# requires the same-seed event streams (and the deterministic sweep
-# artifacts) to be byte-identical to the goldens committed under
-# tests/goldens/ — the pinned contract that scheduler/network hot-path
-# optimizations must not change simulated behavior by a single byte.
+# requires the same-seed event streams to be byte-identical to the
+# goldens committed under tests/goldens/, and runs every
+# scenarios/*.json in --deterministic mode and requires its sweep
+# artifact to equal tests/goldens/ARTIFACT_<scenario>.json — the pinned
+# contract that refactors and hot-path optimizations must not change
+# simulated behavior by a single byte. A scenario without a golden
+# artifact fails the gate.
 #
 # Regenerating goldens (only after an intentional behavior change):
 #   MOBIDIST_TRACE_DIR=out/ build/tools/mobidist_sweep \
-#     --scenario scenarios/scale_smoke.json --deterministic --out ...
+#     --scenario scenarios/scale_smoke.json --deterministic \
+#     --out out/ARTIFACT_scale_smoke.json
 # then copy the files named below into tests/goldens/.
 set -euo pipefail
 
@@ -24,10 +28,22 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-MOBIDIST_TRACE_DIR="$tmp/" "$cli" --scenario "$source_dir/scenarios/scale_smoke.json" \
-  --jobs 2 --deterministic --out "$tmp/ARTIFACT_scale_smoke.json" > /dev/null
-MOBIDIST_TRACE_DIR="$tmp/" "$cli" --scenario "$source_dir/scenarios/mutex_smoke.json" \
-  --jobs 2 --deterministic --out "$tmp/ARTIFACT_mutex_smoke.json" > /dev/null
+status=0
+for scenario in "$source_dir"/scenarios/*.json; do
+  name=$(basename "$scenario" .json)
+  if [ ! -f "$goldens/ARTIFACT_$name.json" ]; then
+    echo "run_trace_golden: scenarios/$name.json has no golden ARTIFACT_$name.json" >&2
+    status=1
+  fi
+  # Only the two smoke scenarios have trace goldens; the rest are pinned
+  # by their artifacts alone, so they run without trace export.
+  case "$name" in
+    scale_smoke | mutex_smoke) trace_dir="$tmp/" ;;
+    *) trace_dir="" ;;
+  esac
+  MOBIDIST_TRACE_DIR="$trace_dir" "$cli" --scenario "$scenario" \
+    --jobs 2 --deterministic --out "$tmp/ARTIFACT_$name.json" > /dev/null
+done
 
 # Sharded-engine leg: the canonical merged stream at shards=1 has its
 # own goldens under tests/goldens/shard1/ (per-lane RNG streams make it
@@ -38,7 +54,6 @@ MOBIDIST_TRACE_DIR="$tmp/shard1/" "$cli" --scenario "$source_dir/scenarios/scale
   --jobs 2 --deterministic --shards 1 \
   --out "$tmp/shard1/ARTIFACT_scale_smoke.json" > /dev/null
 
-status=0
 for golden in "$goldens"/TRACE_*.jsonl "$goldens"/ARTIFACT_*.json \
               "$goldens"/shard1/TRACE_*.jsonl "$goldens"/shard1/ARTIFACT_*.json; do
   name=$(basename "$golden")
@@ -58,8 +73,8 @@ for golden in "$goldens"/TRACE_*.jsonl "$goldens"/ARTIFACT_*.json \
   fi
 done
 if [ "$status" -ne 0 ]; then
-  echo "run_trace_golden: same-seed streams are no longer byte-identical" >&2
+  echo "run_trace_golden: same-seed streams or artifacts are no longer byte-identical" >&2
   exit "$status"
 fi
 
-echo "run_trace_golden: all same-seed streams byte-identical to committed goldens"
+echo "run_trace_golden: all same-seed streams and scenario artifacts byte-identical to committed goldens"
