@@ -1,9 +1,7 @@
 #include "group/always_inform.hpp"
 
 #include <any>
-#include <deque>
 #include <stdexcept>
-#include <functional>
 #include <map>
 
 namespace mobidist::group {
@@ -48,7 +46,7 @@ class AlwaysInformGroup::HostAgent : public net::MhAgent {
   }
 
   void send_group(std::uint64_t msg_id) {
-    run_when_connected([this, msg_id] { fan_out(net::Body(GroupMsg{msg_id, self()})); });
+    when_connected([this, msg_id] { fan_out(net::Body(GroupMsg{msg_id, self()})); });
   }
 
   void on_message(const Envelope& env) override {
@@ -71,10 +69,9 @@ class AlwaysInformGroup::HostAgent : public net::MhAgent {
                 .entity = net::entity_of(self()),
                 .peer = net::entity_of(mss),
                 .detail = "always_inform"});
+    // The parked group messages go out after this hook returns, so they
+    // follow the location updates.
     fan_out(net::Body(LocUpdate{self(), mss}));
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
   }
 
  private:
@@ -86,17 +83,8 @@ class AlwaysInformGroup::HostAgent : public net::MhAgent {
     }
   }
 
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   AlwaysInformGroup& owner_;
   std::map<MhId, MssId> directory_;  ///< LD(G)
-  std::deque<std::function<void()>> deferred_;
 };
 
 /// MSS-side: pure forwarding of Directed units plus the footnote-1 chase

@@ -4,7 +4,6 @@
 #include <deque>
 #include <stdexcept>
 #include <map>
-#include <functional>
 
 namespace mobidist::group {
 
@@ -392,7 +391,7 @@ class LocationViewGroup::HostAgent : public net::MhAgent {
   explicit HostAgent(LocationViewGroup& owner) : owner_(owner) {}
 
   void send_group(std::uint64_t msg_id) {
-    run_when_connected([this, msg_id] { send_uplink(LvSend{GroupMsg{msg_id, self()}}); });
+    when_connected([this, msg_id] { send_uplink(LvSend{GroupMsg{msg_id, self()}}); });
   }
 
   void on_message(const Envelope& env) override {
@@ -405,24 +404,9 @@ class LocationViewGroup::HostAgent : public net::MhAgent {
     owner_.monitor_.delivered(msg->msg_id, self());
   }
 
-  void on_joined_cell(MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
  private:
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   LocationViewGroup& owner_;
   std::set<std::uint64_t> seen_;
-  std::deque<std::function<void()>> deferred_;
 };
 
 LocationViewGroup::LocationViewGroup(net::Network& net, Group group, MssId coordinator,

@@ -1,8 +1,6 @@
 #include "group/pure_search.hpp"
 
-#include <deque>
 #include <stdexcept>
-#include <functional>
 
 namespace mobidist::group {
 
@@ -22,7 +20,7 @@ class PureSearchGroup::Agent : public net::MhAgent {
   Agent(PureSearchGroup& owner) : owner_(owner) {}
 
   void send(std::uint64_t msg_id) {
-    run_when_connected([this, msg_id] {
+    when_connected([this, msg_id] {
       for (const auto member : owner_.group_.members) {
         if (member == self()) continue;
         send_to_mh(member, GroupMsg{msg_id, self()}, /*fifo=*/false);
@@ -36,23 +34,8 @@ class PureSearchGroup::Agent : public net::MhAgent {
     owner_.monitor_.delivered(msg->msg_id, self());
   }
 
-  void on_joined_cell(net::MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
  private:
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   PureSearchGroup& owner_;
-  std::deque<std::function<void()>> deferred_;
 };
 
 PureSearchGroup::PureSearchGroup(net::Network& net, Group group, net::ProtocolId proto)

@@ -1,9 +1,5 @@
 #include "mutex/l1.hpp"
 
-#include <deque>
-#include <functional>
-#include <utility>
-
 namespace mobidist::mutex {
 
 using net::Envelope;
@@ -11,13 +7,14 @@ using net::MhId;
 
 /// Per-MH participant: wraps a LamportEngine whose transport is the
 /// MH-to-MH relay (FIFO mode). Sends attempted while the host is between
-/// cells are queued and flushed on the next join.
+/// cells are parked until the next join (MhAgent::when_connected).
 class L1Mutex::Agent : public net::MhAgent {
  public:
   Agent(std::uint32_t self, std::uint32_t n, CsMonitor& monitor, MutexOptions opts)
       : engine_(self, n), monitor_(monitor), opts_(opts) {
     engine_.set_send([this](std::uint32_t peer, const LamportMsg& msg) {
-      enqueue([this, peer, msg] { send_to_mh(static_cast<MhId>(peer), msg, /*fifo=*/true); });
+      when_connected(
+          [this, peer, msg] { send_to_mh(static_cast<MhId>(peer), msg, /*fifo=*/true); });
     });
     engine_.set_on_acquired([this](std::uint64_t req_id, std::uint64_t ts) {
       enter_cs(req_id, ts);
@@ -25,7 +22,7 @@ class L1Mutex::Agent : public net::MhAgent {
   }
 
   void local_request() {
-    enqueue([this] { engine_.submit(next_req_id_++); });
+    when_connected([this] { engine_.submit(next_req_id_++); });
   }
 
   void on_message(const Envelope& env) override {
@@ -34,28 +31,9 @@ class L1Mutex::Agent : public net::MhAgent {
     engine_.on_message(net::index(env.src.mh()), *msg);
   }
 
-  void on_joined_cell(net::MssId) override { flush(); }
-
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
  private:
-  /// Run now if the host can transmit, otherwise park until it rejoins.
-  void enqueue(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
-  void flush() {
-    // Actions may trigger sends that defer again if the host bounces;
-    // swap first so re-deferrals land in a fresh queue.
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
   void enter_cs(std::uint64_t req_id, std::uint64_t ts) {
     // Order key: (timestamp, participant) — the total order Lamport's
     // algorithm serves requests in.
@@ -63,7 +41,7 @@ class L1Mutex::Agent : public net::MhAgent {
     const std::size_t grant = monitor_.enter(self(), key, net().sched().now());
     net().sched().schedule(opts_.cs_hold, [this, req_id, grant] {
       monitor_.exit(grant, net().sched().now());
-      enqueue([this, req_id] {
+      when_connected([this, req_id] {
         engine_.release(req_id);
         ++completed_;
       });
@@ -73,7 +51,6 @@ class L1Mutex::Agent : public net::MhAgent {
   LamportEngine engine_;
   CsMonitor& monitor_;
   MutexOptions opts_;
-  std::deque<std::function<void()>> deferred_;
   std::uint64_t next_req_id_ = 1;
   std::uint64_t completed_ = 0;
 };

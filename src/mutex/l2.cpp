@@ -1,9 +1,6 @@
 #include "mutex/l2.hpp"
 
-#include <deque>
-#include <functional>
 #include <map>
-#include <utility>
 
 namespace mobidist::mutex {
 
@@ -94,7 +91,7 @@ class L2Mutex::HostAgent : public net::MhAgent {
   HostAgent(CsMonitor& monitor, MutexOptions opts) : monitor_(monitor), opts_(opts) {}
 
   void local_request() {
-    run_when_connected([this] { send_uplink(L2Init{self()}); });
+    when_connected([this] { send_uplink(L2Init{self()}); });
   }
 
   void on_message(const Envelope& env) override {
@@ -109,29 +106,14 @@ class L2Mutex::HostAgent : public net::MhAgent {
       // If we disconnected during the hold, the release goes out when we
       // reconnect (the paper: "L2 requires that it reconnect to send the
       // release-resource message").
-      run_when_connected(
+      when_connected(
           [this, msg] { send_uplink(L2ReleaseResource{msg.req_id, msg.home}); });
     });
   }
 
-  void on_joined_cell(MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
  private:
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   CsMonitor& monitor_;
   MutexOptions opts_;
-  std::deque<std::function<void()>> deferred_;
 };
 
 L2Mutex::L2Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)

@@ -1,9 +1,5 @@
 #include "mutex/path_reversal.hpp"
 
-#include <deque>
-#include <functional>
-#include <utility>
-
 namespace mobidist::mutex {
 
 using net::Envelope;
@@ -184,14 +180,13 @@ class PathRevMutex::HostAgent : public net::MhAgent {
           obs::CauseScope scope(net().events(), arrive_id);
           monitor_.exit(cs, net().sched().now());
           ++owner_.completed_;
-          run_when_connected([this, home, serial] { return_token(home, serial); });
+          when_connected([this, home, serial] { return_token(home, serial); });
         });
   }
 
   void on_joined_cell(MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
+    // A parked token return goes out before the re-filed requests.
+    run_parked();
     // Re-home: the cell we left withdrew our queue entries (or crashed),
     // so every still-pending request is filed afresh at this cell.
     for (std::uint64_t i = 0; i < pending_; ++i) send_uplink(PathRevRequest{self()});
@@ -207,19 +202,10 @@ class PathRevMutex::HostAgent : public net::MhAgent {
     send_uplink(PathRevReturn{home, serial});
   }
 
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   PathRevMutex& owner_;
   CsMonitor& monitor_;
   MutexOptions opts_;
   std::uint64_t pending_ = 0;  ///< requests not yet granted to this MH
-  std::deque<std::function<void()>> deferred_;
 };
 
 PathRevMutex::PathRevMutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)

@@ -1,8 +1,5 @@
 #include "mutex/r1.hpp"
 
-#include <deque>
-#include <functional>
-
 namespace mobidist::mutex {
 
 using net::Envelope;
@@ -28,12 +25,6 @@ class R1Mutex::Agent : public net::MhAgent {
     const auto* token = net::body_as<R1Token>(env);
     if (token == nullptr) return;
     handle_token(*token);
-  }
-
-  void on_joined_cell(net::MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
   }
 
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
@@ -72,7 +63,7 @@ class R1Mutex::Agent : public net::MhAgent {
   void forward(R1Token token) {
     const std::uint32_t successor = (index_ + 1) % n_;
     if (successor == 0) ++token.traversal;  // loop completes when it re-reaches MH 0
-    run_when_connected([this, successor, token] {
+    when_connected([this, successor, token] {
       net().emit({.kind = obs::EventKind::kTokenDepart,
                   .entity = net::entity_of(self()),
                   .peer = obs::Entity::mh(successor),
@@ -82,14 +73,6 @@ class R1Mutex::Agent : public net::MhAgent {
     });
   }
 
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   R1Mutex& owner_;
   std::uint32_t index_;
   std::uint32_t n_;
@@ -97,7 +80,6 @@ class R1Mutex::Agent : public net::MhAgent {
   MutexOptions opts_;
   bool wants_ = false;
   std::uint64_t completed_ = 0;
-  std::deque<std::function<void()>> deferred_;
 };
 
 R1Mutex::R1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)

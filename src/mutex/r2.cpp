@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 namespace mobidist::mutex {
 
@@ -181,7 +180,7 @@ class R2Mutex::HostAgent : public net::MhAgent {
       : owner_(owner), monitor_(monitor), opts_(opts) {}
 
   void local_request() {
-    run_when_connected([this] {
+    when_connected([this] {
       const std::uint64_t reported = malicious_ ? 0 : access_count_;
       send_uplink(R2Request{self(), reported});
     });
@@ -205,7 +204,7 @@ class R2Mutex::HostAgent : public net::MhAgent {
       obs::CauseScope scope(net().events(), arrive_id);
       monitor_.exit(grant, net().sched().now());
       ++owner_.completed_;
-      run_when_connected([this, home, val] {
+      when_connected([this, home, val] {
         net().emit({.kind = obs::EventKind::kTokenDepart,
                     .entity = net::entity_of(self()),
                     .peer = net::entity_of(home),
@@ -216,27 +215,12 @@ class R2Mutex::HostAgent : public net::MhAgent {
     });
   }
 
-  void on_joined_cell(MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
  private:
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   R2Mutex& owner_;
   CsMonitor& monitor_;
   MutexOptions opts_;
   std::uint64_t access_count_ = 0;
   bool malicious_ = false;
-  std::deque<std::function<void()>> deferred_;
 };
 
 R2Mutex::R2Mutex(net::Network& net, CsMonitor& monitor, RingVariant variant,

@@ -48,4 +48,18 @@ void MhAgent::send_to_mh(MhId dst, Body body, bool fifo) {
   net().mh(self_).send_relay(dst, proto_, std::move(body), fifo);
 }
 
+void MhAgent::when_connected(std::function<void()> action) {
+  if (net().mh(self_).connected()) {
+    action();
+  } else {
+    parked_.push_back(std::move(action));
+  }
+}
+
+void MhAgent::run_parked() {
+  std::vector<std::function<void()>> ready;
+  ready.swap(parked_);
+  for (auto& action : ready) action();
+}
+
 }  // namespace mobidist::net

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <any>
+#include <functional>
+#include <vector>
 
 #include "net/envelope.hpp"
 #include "net/ids.hpp"
@@ -125,7 +127,8 @@ class MhAgent {
   /// An envelope for this protocol was delivered over the wireless link.
   virtual void on_message(const Envelope& env) = 0;
 
-  /// This MH completed a join into `mss`'s cell.
+  /// This MH completed a join into `mss`'s cell. The work parked by
+  /// when_connected() runs right after this hook returns.
   virtual void on_joined_cell(MssId /*mss*/) {}
 
   /// This MH left its cell (move or disconnect initiated).
@@ -148,10 +151,28 @@ class MhAgent {
   /// c_search path of §2). `fifo` enables destination resequencing.
   void send_to_mh(MhId dst, Body body, bool fifo = true);
 
+  /// Run `action` now if this MH is connected; otherwise park it until
+  /// the MH next completes a join. A MH sends nothing between leave(r)
+  /// and its next join, or while disconnected (§2), so an agent routes
+  /// through here every send it may issue while its host is out of a cell.
+  void when_connected(std::function<void()> action);
+
+  /// Run the parked work, oldest first. The queue is swapped out before
+  /// the first action runs, so work that parks again waits for the
+  /// following join. MobileHost calls this right after on_joined_cell();
+  /// a hook whose own sends must follow the parked work calls it first.
+  void run_parked();
+
  private:
+  friend class MobileHost;
+
   Network* net_ = nullptr;
   MhId self_ = kInvalidMh;
   ProtocolId proto_ = 0;
+  /// Work issued while the MH could not send. Every MH agent carries it,
+  /// so it must stay at 24 bytes and allocate nothing while empty (a
+  /// libstdc++ std::deque allocates about 576 bytes when constructed).
+  std::vector<std::function<void()>> parked_;
 };
 
 }  // namespace mobidist::net

@@ -78,7 +78,10 @@ void MobileHost::complete_join(MssId at) {
   mss_ = at;
   downlink_seq_seen_ = 0;
   ++joins_completed_;
-  for (auto& [proto, agent] : agents_) agent->on_joined_cell(at);
+  for (auto& [proto, agent] : agents_) {
+    agent->on_joined_cell(at);
+    agent->run_parked();
+  }
 }
 
 void MobileHost::send_relay(MhId dst, ProtocolId inner_proto, Body body, bool fifo) {

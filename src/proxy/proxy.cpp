@@ -1,6 +1,5 @@
 #include "proxy/proxy.hpp"
 
-#include <deque>
 #include <utility>
 
 namespace mobidist::proxy {
@@ -123,8 +122,7 @@ class ProxyService::HostAgent : public net::MhAgent {
   explicit HostAgent(ProxyService& owner) : owner_(owner) {}
 
   void client_send(std::any body) {
-    run_when_connected(
-        [this, body = std::move(body)] { send_uplink(Up{self(), body}); });
+    when_connected([this, body = std::move(body)] { send_uplink(Up{self(), body}); });
   }
 
   void on_message(const Envelope& env) override {
@@ -133,23 +131,8 @@ class ProxyService::HostAgent : public net::MhAgent {
     if (owner_.client_handler_) owner_.client_handler_(self(), down->body);
   }
 
-  void on_joined_cell(net::MssId) override {
-    std::deque<std::function<void()>> ready;
-    ready.swap(deferred_);
-    for (auto& action : ready) action();
-  }
-
  private:
-  void run_when_connected(std::function<void()> action) {
-    if (net().mh(self()).connected()) {
-      action();
-    } else {
-      deferred_.push_back(std::move(action));
-    }
-  }
-
   ProxyService& owner_;
-  std::deque<std::function<void()>> deferred_;
 };
 
 ProxyService::ProxyService(net::Network& net, ProxyOptions opts, net::ProtocolId proto)
