@@ -179,6 +179,23 @@ TEST(AlwaysInform, StaleDirectoryEntryIsChased) {
   EXPECT_GE(net.ledger().searches(), 1u);
 }
 
+TEST(AlwaysInform, LocationUpdatesPrecedeAGroupMessageParkedInTransit) {
+  // mh1 sends while between cells: the message parks until the join,
+  // where the location-update fan-out must go uplink first.
+  Network net(spread_config());
+  AlwaysInformGroup comm(net, four_members());
+  net.start();
+  net.sched().schedule(1, [&] { net.mh(mh_id(1)).move_to(mss_id(4), 20); });
+  net.sched().schedule(5, [&] { comm.send_group_message(mh_id(1)); });
+  net.run();
+  EXPECT_TRUE(comm.monitor().exactly_once(comm.group()));
+  EXPECT_EQ(comm.location_updates(), 1u);
+  // One update uplink per other member, then one group-message uplink each.
+  EXPECT_EQ(actions_after_last_join(net, mh_id(1)),
+            (std::vector<std::string>{"location_update", "send", "send", "send", "send",
+                                      "send", "send"}));
+}
+
 // --------------------------------------------------------------------------
 // Location view
 // --------------------------------------------------------------------------

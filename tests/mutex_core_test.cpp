@@ -779,6 +779,33 @@ TEST(PathRevMutex, MovingRequesterRehomesItsRequest) {
   EXPECT_EQ(mutex.queued_total(), 0u);
 }
 
+TEST(PathRevMutex, ParkedTokenReturnPrecedesRefiledRequests) {
+  // mh0 holds the token in its CS at cell 0, asks again, and moves to
+  // cell 2 for longer than the CS hold: the token return parks until
+  // the join, where it must go uplink before the re-filed request.
+  net::Network net(test::small_config(4, 8));
+  CsMonitor monitor;
+  PathRevMutex mutex(net, monitor);
+  net.start();
+  mutex.request(pr_mh(0));
+  for (sim::SimTime t = 1; !monitor.busy(); ++t) {
+    ASSERT_LT(t, 100u) << "mh0 never entered the CS";
+    net.sched().run_until(t);
+  }
+  mutex.request(pr_mh(0));
+  net.mh(pr_mh(0)).move_to(pr_mss(2), 20);
+  net.run();
+  test::ExpectCleanEventStream(net);
+  ExpectTokenHolderConservation(net);
+  EXPECT_EQ(mutex.completed(), 2u);
+  EXPECT_EQ(monitor.violations(), 0u);
+  const auto actions = test::actions_after_last_join(net, pr_mh(0));
+  ASSERT_GE(actions.size(), 3u);
+  // The return's token_depart and uplink, then the request's uplink.
+  EXPECT_EQ(std::vector<std::string>(actions.begin(), actions.begin() + 3),
+            (std::vector<std::string>{"token_depart", "send", "send"}));
+}
+
 // --------------------------------------------------------------------------
 // CsMonitor
 // --------------------------------------------------------------------------

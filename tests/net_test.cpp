@@ -463,6 +463,116 @@ TEST(Disconnect, ReconnectWhileConnectedThrows) {
 }
 
 // --------------------------------------------------------------------------
+// Parked work (MhAgent::when_connected / run_parked)
+// --------------------------------------------------------------------------
+
+/// MH agent that appends its join hook and every action it parks to a
+/// log, which several agents on one host may share.
+class ParkingMhAgent : public MhAgent {
+ public:
+  ParkingMhAgent(std::string name, std::vector<std::string>& log)
+      : name_(std::move(name)), log_(log) {}
+
+  void on_message(const Envelope& /*env*/) override {}
+  void on_joined_cell(MssId mss) override {
+    log_.push_back(name_ + " joined " + to_string(mss));
+  }
+
+  /// Log `tag` now, or after the next join while the host is out of a cell.
+  void park(const std::string& tag) {
+    when_connected([this, tag] { log_.push_back(name_ + " " + tag); });
+  }
+
+  /// Park an action that disconnects the host and then parks `tag`.
+  void park_disconnect_then(const std::string& tag) {
+    when_connected([this, tag] {
+      log_.push_back(name_ + " disconnects");
+      net().mh(self()).disconnect();
+      park(tag);
+    });
+  }
+
+ private:
+  std::string name_;
+  std::vector<std::string>& log_;
+};
+
+using Log = std::vector<std::string>;
+
+TEST(ParkedWork, RunsOnceAfterTheJoinOldestFirst) {
+  Network net(small_config(3, 6));
+  Log log;
+  auto agent = std::make_shared<ParkingMhAgent>("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  net.start();
+  agent->park("now");  // connected: runs at once
+  EXPECT_EQ(log, (Log{"a now"}));
+
+  net.mh(mh_id(0)).move_to(mss_id(1), 20);
+  agent->park("first");
+  agent->park("second");
+  net.sched().run_until(15);  // mid-transit: nothing runs
+  EXPECT_EQ(log, (Log{"a now"}));
+  net.run();
+  EXPECT_EQ(log, (Log{"a now", "a joined mss:1", "a first", "a second"}));
+
+  // The queue drained: another move re-runs nothing.
+  net.mh(mh_id(0)).move_to(mss_id(2), 5);
+  net.run();
+  EXPECT_EQ(log, (Log{"a now", "a joined mss:1", "a first", "a second", "a joined mss:2"}));
+}
+
+TEST(ParkedWork, RunsAfterAReconnect) {
+  Network net(small_config(3, 6));
+  Log log;
+  auto agent = std::make_shared<ParkingMhAgent>("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  net.start();
+  net.mh(mh_id(0)).disconnect();
+  agent->park("first");
+  net.sched().schedule(50, [&] { agent->park("second"); });
+  net.sched().schedule(60, [&] { net.mh(mh_id(0)).reconnect_at(mss_id(2), 10); });
+  net.sched().run_until(65);
+  EXPECT_TRUE(log.empty());
+  net.run();
+  EXPECT_EQ(log, (Log{"a joined mss:2", "a first", "a second"}));
+}
+
+TEST(ParkedWork, EachAgentsHookAndWorkRunBeforeTheNextAgentsInProtocolOrder) {
+  Network net(small_config(3, 6));
+  Log log;
+  auto a = std::make_shared<ParkingMhAgent>("a", log);
+  auto b = std::make_shared<ParkingMhAgent>("b", log);
+  // Registered out of order: the join runs agents by protocol id.
+  net.mh(mh_id(0)).register_agent(kTestProto + 1, b);
+  net.mh(mh_id(0)).register_agent(kTestProto, a);
+  net.start();
+  net.mh(mh_id(0)).move_to(mss_id(1), 20);
+  b->park("y");
+  a->park("x1");
+  a->park("x2");
+  net.run();
+  EXPECT_EQ(log, (Log{"a joined mss:1", "a x1", "a x2", "b joined mss:1", "b y"}));
+}
+
+TEST(ParkedWork, WorkParkedWhileDrainingWaitsForTheFollowingJoin) {
+  Network net(small_config(3, 6));
+  Log log;
+  auto agent = std::make_shared<ParkingMhAgent>("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  net.start();
+  net.mh(mh_id(0)).move_to(mss_id(1), 20);
+  agent->park_disconnect_then("again");
+  net.run();
+  EXPECT_EQ(log, (Log{"a joined mss:1", "a disconnects"}));
+  EXPECT_TRUE(net.is_disconnected(mh_id(0)));
+
+  net.mh(mh_id(0)).reconnect_at(mss_id(2), 10);
+  net.run();
+  EXPECT_EQ(log, (Log{"a joined mss:1", "a disconnects", "a joined mss:2", "a again"}));
+}
+
+// --------------------------------------------------------------------------
 // MH-to-MH relay
 // --------------------------------------------------------------------------
 

@@ -148,6 +148,22 @@ inline NetConfig small_config(std::uint32_t m = 3, std::uint32_t n = 6) {
   return cfg;
 }
 
+/// Kinds ("send", "token_depart", ...) of the events `mh` emitted after
+/// its last join request went uplink, in emission order, receives left
+/// out: what the host itself did once that join completed.
+inline std::vector<std::string> actions_after_last_join(const Network& net, MhId mh) {
+  std::vector<std::string> actions;
+  for (const auto& ev : net.events().snapshot()) {
+    if (ev.entity != entity_of(mh) || ev.kind == obs::EventKind::kRecv) continue;
+    if (ev.kind == obs::EventKind::kSend && ev.detail == "join") {
+      actions.clear();
+      continue;
+    }
+    actions.emplace_back(obs::to_string(ev.kind));
+  }
+  return actions;
+}
+
 /// Run every obs checker over the network's trace (the legacy ring, or
 /// the sharded engine's canonical merge, via Network::for_each_event)
 /// and report each violation as a test failure. Call at the end of any
