@@ -290,7 +290,7 @@ BaselineComparison compare_to_baseline(const SweepReport& current,
   }
   std::vector<std::uint64_t> base_seeds;
   for (const auto& seed : seeds->as_array()) {
-    if (seed.is_number()) base_seeds.push_back(seed.as_u64());
+    if (const auto exact = seed.as_u64()) base_seeds.push_back(*exact);
   }
   if (base_seeds != current.seeds) {
     return incompatible("seed lists differ (baseline " +

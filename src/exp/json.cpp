@@ -200,6 +200,14 @@ class Parser {
 
 std::optional<Value> parse(std::string_view text) { return Parser(text).document(); }
 
+std::optional<std::uint64_t> Value::as_u64() const noexcept {
+  if (!is_number()) return std::nullopt;
+  if (has_u64_) return u64_;
+  // 0x1p64 is exactly 2^64; the cast below is defined only under it.
+  if (!(num_ >= 0.0 && num_ < 0x1p64) || num_ != std::floor(num_)) return std::nullopt;
+  return static_cast<std::uint64_t>(num_);
+}
+
 std::string format_double(double value) {
   if (!std::isfinite(value)) return "null";
   // Longest shortest-round-trip double is 24 chars ("-2.2250738585072014e-308").

@@ -62,12 +62,11 @@ class Value {
   [[nodiscard]] double as_number(double fallback = 0.0) const noexcept {
     return is_number() ? num_ : fallback;
   }
-  /// Exact unsigned view of an integer literal; falls back to a cast of
-  /// the double value for numbers not parsed as unsigned integers.
-  [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const noexcept {
-    if (!is_number()) return fallback;
-    return has_u64_ ? u64_ : static_cast<std::uint64_t>(num_);
-  }
+  /// The number as an exact unsigned 64-bit integer: the literal's own
+  /// value when it was written as a plain unsigned integer, else the
+  /// double when it is a whole number in [0, 2^64). nullopt for any other
+  /// number (negative, fractional, 2^64 or more) and for other kinds.
+  [[nodiscard]] std::optional<std::uint64_t> as_u64() const noexcept;
   /// The string held; empty for any other kind.
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
   /// The elements held; empty for any other kind.

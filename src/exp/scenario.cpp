@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,17 +21,20 @@ double require_number(std::string_view key, const json::Value& value) {
 }
 
 std::uint64_t require_u64(std::string_view key, const json::Value& value) {
-  const double n = require_number(key, value);
-  if (n < 0 || n != std::floor(n)) {
-    fail("field '" + std::string(key) + "' must be a non-negative integer");
-  }
-  // as_u64 preserves integer literals beyond double's 53-bit mantissa
+  require_number(key, value);
+  // as_u64 keeps integer literals beyond double's 53-bit mantissa exact
   // (full-range seeds in particular).
-  return value.as_u64();
+  const auto n = value.as_u64();
+  if (!n) fail("field '" + std::string(key) + "' must be an integer in [0, 2^64)");
+  return *n;
 }
 
 std::uint32_t require_u32(std::string_view key, const json::Value& value) {
-  return static_cast<std::uint32_t>(require_u64(key, value));
+  const std::uint64_t n = require_u64(key, value);
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    fail("field '" + std::string(key) + "' must be at most 4294967295");
+  }
+  return static_cast<std::uint32_t>(n);
 }
 
 bool require_bool(std::string_view key, const json::Value& value) {
@@ -103,8 +107,9 @@ double ScenarioSpec::param(std::string_view key, double fallback) const {
 std::uint64_t ScenarioSpec::param_u64(std::string_view key, std::uint64_t fallback) const {
   const auto it = params.find(key);
   if (it == params.end()) return fallback;
-  if (it->second < 0 || it->second != std::floor(it->second)) {
-    fail("param '" + std::string(key) + "' must be a non-negative integer");
+  // 0x1p64 is exactly 2^64; the cast below is defined only under it.
+  if (!(it->second >= 0 && it->second < 0x1p64) || it->second != std::floor(it->second)) {
+    fail("param '" + std::string(key) + "' must be an integer in [0, 2^64)");
   }
   return static_cast<std::uint64_t>(it->second);
 }

@@ -125,11 +125,9 @@ SweepGrid sweep_from_json(const json::Value& doc, std::uint64_t default_seed) {
     if (key == "seeds") {
       if (value.is_array()) {
         for (const auto& seed : value.as_array()) {
-          if (!seed.is_number() || seed.as_number() < 0 ||
-              seed.as_number() != std::floor(seed.as_number())) {
-            fail("seeds entries must be non-negative integers");
-          }
-          grid.seeds.push_back(seed.as_u64());
+          const auto exact = seed.as_u64();
+          if (!exact) fail("'sweep.seeds' entries must be integers in [0, 2^64)");
+          grid.seeds.push_back(*exact);
         }
       } else if (value.is_object()) {
         const auto* base = value.find("base");
@@ -138,8 +136,11 @@ SweepGrid sweep_from_json(const json::Value& doc, std::uint64_t default_seed) {
             !count->is_number()) {
           fail("derived seeds need numeric 'base' and 'count'");
         }
-        grid.seeds = derive_seeds(base->as_u64(),
-                                  static_cast<std::size_t>(count->as_number()));
+        const auto base_seed = base->as_u64();
+        if (!base_seed) fail("'sweep.seeds.base' must be an integer in [0, 2^64)");
+        const auto seed_count = count->as_u64();
+        if (!seed_count) fail("'sweep.seeds.count' must be an integer in [0, 2^64)");
+        grid.seeds = derive_seeds(*base_seed, *seed_count);
       } else {
         fail("'seeds' must be an array or {base, count}");
       }

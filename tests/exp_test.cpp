@@ -228,6 +228,50 @@ TEST(ExpScenario, UnknownFieldThrows) {
   EXPECT_THROW(exp::parse_scenario(R"({"wrokload": "mutex"})"), std::runtime_error);
 }
 
+/// The message of the std::runtime_error `fn` throws; "" (and a test
+/// failure) when it throws none.
+template <typename Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& err) {
+    return err.what();
+  }
+  ADD_FAILURE() << "no error thrown";
+  return "";
+}
+
+TEST(ExpScenario, OutOfRangeIntegersAreRejectedNamingTheField) {
+  // 2^32 + 2 hosts used to wrap to a 2-host system.
+  const auto num_mh = error_of([] {
+    (void)exp::parse_scenario(R"({"topology": {"num_mss": 4, "num_mh": 4294967298}})");
+  });
+  EXPECT_NE(num_mh.find("'topology.num_mh'"), std::string::npos) << num_mh;
+  EXPECT_EQ(exp::parse_scenario(R"({"topology": {"num_mh": 4294967295}})").net.num_mh,
+            4294967295u);
+  // 2^64 as a literal and as an exponent, a negative and a fraction:
+  // each used to reach a cast to uint64_t.
+  for (const std::string seed : {"18446744073709551616", "1e20", "-1", "2.5"}) {
+    const auto message = error_of([&seed] {
+      (void)exp::parse_scenario(R"({"topology": {"seed": )" + seed + "}}");
+    });
+    EXPECT_NE(message.find("'topology.seed'"), std::string::npos) << seed << ": "
+                                                                    << message;
+  }
+}
+
+TEST(ExpScenario, OutOfRangeParamsAreRejectedNamingTheParam) {
+  for (const std::string value : {"18446744073709551616", "1e20", "-1", "2.5"}) {
+    const auto spec = exp::parse_scenario(R"({"params": {"requests": )" + value + "}}");
+    const auto message = error_of([&spec] { (void)spec.param_u64("requests", 0); });
+    EXPECT_NE(message.find("'requests'"), std::string::npos) << value << ": " << message;
+  }
+  // 2^63 is exact as a double and in range.
+  const auto in_range =
+      exp::parse_scenario(R"({"params": {"requests": 9223372036854775808}})");
+  EXPECT_EQ(in_range.param_u64("requests", 0), std::uint64_t{1} << 63);
+}
+
 // --- sweep grids -----------------------------------------------------------
 
 TEST(ExpSweep, SeedDerivationIsDeterministicAndDistinct) {
@@ -260,6 +304,50 @@ TEST(ExpSweep, ExpansionCrossesAxesWithSeedsInnermost) {
     EXPECT_EQ(plans[i].index, i);
     EXPECT_EQ(plans[i].spec.net.seed, plans[i].seed);
   }
+}
+
+exp::SweepGrid grid_of(const std::string& sweep) {
+  const auto doc = exp::json::parse(R"({"sweep": )" + sweep + "}");
+  EXPECT_TRUE(doc.has_value()) << sweep;
+  return exp::sweep_from_json(doc.value_or(exp::json::Value{}), 1);
+}
+
+TEST(ExpSweep, OutOfRangeSeedsAreRejectedNamingTheField) {
+  const std::vector<std::string> bad = {"18446744073709551616", "1e20", "-1", "2.5"};
+  for (const auto& seed : bad) {
+    EXPECT_NE(error_of([&] { (void)grid_of(R"({"seeds": [3, )" + seed + "]}"); })
+                  .find("'sweep.seeds'"),
+              std::string::npos)
+        << seed;
+    EXPECT_NE(error_of([&] {
+                (void)grid_of(R"({"seeds": {"base": )" + seed + R"(, "count": 2}})");
+              }).find("'sweep.seeds.base'"),
+              std::string::npos)
+        << seed;
+    EXPECT_NE(error_of([&] {
+                (void)grid_of(R"({"seeds": {"base": 7, "count": )" + seed + "}}");
+              }).find("'sweep.seeds.count'"),
+              std::string::npos)
+        << seed;
+  }
+}
+
+TEST(ExpSweep, FullRangeSeedsStayExact) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(grid_of(R"({"seeds": [18446744073709551615, 9007199254740993]})").seeds,
+            (std::vector<std::uint64_t>{kMax, (std::uint64_t{1} << 53) + 1}));
+  EXPECT_EQ(grid_of(R"({"seeds": {"base": 18446744073709551615, "count": 2}})").seeds,
+            exp::derive_seeds(kMax, 2));
+  const auto spec =
+      exp::parse_scenario(R"({"topology": {"seed": 18446744073709551615}})");
+  EXPECT_EQ(spec.net.seed, kMax);
+  // Through an artifact and back: the baseline gate reads the same seed.
+  SweepReport report;
+  report.name = "t";
+  report.seeds = {kMax};
+  const auto artifact = exp::json::parse(report.json());
+  ASSERT_TRUE(artifact.has_value());
+  EXPECT_TRUE(exp::compare_to_baseline(report, *artifact, 0.01).compatible);
 }
 
 TEST(ExpSweep, UnknownAxisKeyThrows) {
