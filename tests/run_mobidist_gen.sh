@@ -2,7 +2,8 @@
 # Generator round-trip gate, registered with ctest as `mobidist_gen`.
 # Three properties:
 #   1. mobidist_gen is a pure function of its flags: the same invocation
-#      twice produces byte-identical scenario files.
+#      twice produces byte-identical scenario files, and a malformed or
+#      out-of-range numeric flag is a usage error (exit 1).
 #   2. The generated document is real ScenarioSpec JSON: mobidist_sweep
 #      parses and runs it (the generator also self-validates by
 #      re-parsing before writing, but this pins the consumer side), and
@@ -38,6 +39,31 @@ fi
 # Unknown models must be rejected, not silently defaulted.
 if "$gen" --model teleport --mh 100 --out "$tmp/bad.json" > /dev/null 2>&1; then
   echo "run_mobidist_gen: unknown model was accepted" >&2
+  exit 1
+fi
+
+# Numeric flags are whole in-range tokens: --mh 1e6 used to write a
+# 1-host scenario and --mh 4294967298 a 2-host one. Each must exit 1
+# naming the flag and write nothing.
+for flags in "--mh 1e6" "--mh 4294967298" "--mh -5" "--seeds 3x" \
+             "--seed 18446744073709551616"; do
+  rm -f "$tmp/bad.json"
+  set +e
+  # shellcheck disable=SC2086 # $flags is a flag and its value
+  "$gen" --model commuter --mh 100 $flags --out "$tmp/bad.json" > "$tmp/bad.log" 2>&1
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] || [ -e "$tmp/bad.json" ] || ! grep -qF -- "${flags%% *}" "$tmp/bad.log"; then
+    echo "run_mobidist_gen: '$flags' exited $status without a usage error naming it:" >&2
+    cat "$tmp/bad.log" >&2
+    exit 1
+  fi
+done
+# The full u64 seed range stays exact.
+"$gen" --model commuter --mh 100 --seed 18446744073709551615 --out "$tmp/max_seed.json" \
+  > /dev/null 2>&1
+if ! grep -qF '"base":18446744073709551615' "$tmp/max_seed.json"; then
+  echo "run_mobidist_gen: --seed 18446744073709551615 was not written exactly" >&2
   exit 1
 fi
 

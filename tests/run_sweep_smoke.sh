@@ -7,7 +7,9 @@
 #   2. gate a fresh run against the jobs=1 artifact as baseline (must
 #      pass: exit 0);
 #   3. tamper one metric mean in the baseline and require the gate to
-#      fail with the regression exit code (3) — the deliberate-fail leg.
+#      fail with the regression exit code (3) — the deliberate-fail leg;
+#   4. require malformed numeric flags and an out-of-range scenario
+#      integer to fail with the usage exit code (1), naming the culprit.
 set -euo pipefail
 
 build_dir=${1:?usage: run_sweep_smoke.sh <build-dir> <scenario.json>}
@@ -54,4 +56,31 @@ if ! grep -qi "regression" "$tmp/gate.log"; then
   exit 1
 fi
 
-echo "run_sweep_smoke: jobs- and shard-independent artifacts byte-identical; gate passes clean baseline and rejects tampered one"
+# Expect exit code 1 from the CLI run with the given arguments, with
+# `$1` (the flag or field at fault) named in what it printed.
+expect_usage_error() {
+  local culprit=$1
+  shift
+  rm -f "$tmp/bad.json"
+  set +e
+  "$cli" "$@" --deterministic --out "$tmp/bad.json" > "$tmp/bad.log" 2>&1
+  local status=$?
+  set -e
+  if [ "$status" -ne 1 ] || [ -e "$tmp/bad.json" ] || ! grep -qF -- "$culprit" "$tmp/bad.log"; then
+    echo "run_sweep_smoke: '$*' exited $status without a usage error naming $culprit:" >&2
+    cat "$tmp/bad.log" >&2
+    exit 1
+  fi
+}
+# --jobs -1 used to run 4294967295 workers, --jobs two hardware
+# concurrency, --tolerance x a tolerance of 0.
+expect_usage_error --jobs --scenario "$scenario" --jobs -1
+expect_usage_error --jobs --scenario "$scenario" --jobs two
+expect_usage_error --shards --scenario "$scenario" --shards -1
+expect_usage_error --tolerance --scenario "$scenario" --tolerance x
+# 2^32 + 2 hosts used to wrap to a 2-host run.
+echo '{"workload":"delivery","variant":"x","topology":{"num_mss":4,"num_mh":4294967298}}' \
+  > "$tmp/wrap.json"
+expect_usage_error topology.num_mh --scenario "$tmp/wrap.json"
+
+echo "run_sweep_smoke: jobs- and shard-independent artifacts byte-identical; gate passes clean baseline and rejects tampered one; malformed numbers are usage errors"

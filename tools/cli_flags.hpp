@@ -1,0 +1,46 @@
+#pragma once
+
+// Numeric flag values for the command-line tools. A value is read as one
+// whole token and checked against its range; anything else — a sign on a
+// count, trailing text ("1e6" for an integer), a value out of range —
+// throws std::invalid_argument naming the flag, and the tool prints its
+// usage error and exits 1 instead of running on a wrapped or defaulted
+// number.
+
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+
+namespace mobidist::tools {
+
+/// `text` as an unsigned decimal integer in [0, max].
+inline std::uint64_t uint_flag(std::string_view flag, std::string_view text,
+                               std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc{} || ptr != last || value > max) {
+    throw std::invalid_argument(std::string(flag) + " needs an integer in [0, " +
+                                std::to_string(max) + "], got '" + std::string(text) +
+                                "'");
+  }
+  return value;
+}
+
+/// `text` as a finite real number >= 0.
+inline double real_flag(std::string_view flag, std::string_view text) {
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc{} || ptr != last || !std::isfinite(value) ||
+      value < 0.0) {
+    throw std::invalid_argument(std::string(flag) + " needs a finite number >= 0, got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
+
+}  // namespace mobidist::tools

@@ -8,6 +8,11 @@
 //       [--group-size G] [--messages N] [--moves-per-host N]
 //       [--sweep-models] [--no-sweep-variants] [--set key=value]...
 //
+// Numeric flags are whole unsigned decimal tokens: the counts --mh, --mss,
+// --seeds, --regions and --group-size up to 2^32 - 1, --seed, --messages
+// and --moves-per-host up to 2^64 - 1. Anything else is a usage error
+// (exit 1), never a wrapped or truncated value.
+//
 // The output is a pure function of the flags (no clocks, no git, no
 // environment), so the same invocation always produces byte-identical
 // files — the property the generator round-trip ctest pins. Before
@@ -15,13 +20,16 @@
 // and exp::sweep_from_json and fails loudly if the round trip drifts.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "core/report.hpp"
 #include "exp/exp.hpp"
 #include "mobility/models.hpp"
@@ -29,6 +37,9 @@
 namespace {
 
 using namespace mobidist;
+
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 int usage(const char* argv0) {
   std::string models;
@@ -80,34 +91,43 @@ int main(int argc, char** argv) {
   bool sweep_variants = true;
   std::vector<std::string> sets;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(1);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+          std::exit(1);
+        }
+        return argv[++i];
+      };
+      const auto u64 = [&] { return tools::uint_flag(arg, next(), kMaxU64); };
+      const auto u32 = [&] {
+        return static_cast<std::uint32_t>(tools::uint_flag(arg, next(), kMaxU32));
+      };
+      if (arg == "--model") model = next();
+      else if (arg == "--name") name = next();
+      else if (arg == "--out") out_path = next();
+      else if (arg == "--seed") seed = u64();
+      else if (arg == "--mh") mh = u32();
+      else if (arg == "--mss") mss = u32();
+      else if (arg == "--seeds") seeds = u32();
+      else if (arg == "--regions") regions = u32();
+      else if (arg == "--group-size") group_size = u32();
+      else if (arg == "--messages") messages = u64();
+      else if (arg == "--moves-per-host") moves_per_host = u64();
+      else if (arg == "--sweep-models") sweep_models = true;
+      else if (arg == "--no-sweep-variants") sweep_variants = false;
+      else if (arg == "--set") sets.emplace_back(next());
+      else if (arg == "--help" || arg == "-h") return usage(argv[0]);
+      else {
+        std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+        return usage(argv[0]);
       }
-      return argv[++i];
-    };
-    if (arg == "--model") model = next();
-    else if (arg == "--name") name = next();
-    else if (arg == "--out") out_path = next();
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--mh") mh = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--mss") mss = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--seeds") seeds = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--regions") regions = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--group-size") group_size = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    else if (arg == "--messages") messages = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--moves-per-host") moves_per_host = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--sweep-models") sweep_models = true;
-    else if (arg == "--no-sweep-variants") sweep_variants = false;
-    else if (arg == "--set") sets.emplace_back(next());
-    else if (arg == "--help" || arg == "-h") return usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return usage(argv[0]);
     }
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return usage(argv[0]);
   }
 
   if (model.empty() || mh == 0 || out_path.empty()) return usage(argv[0]);

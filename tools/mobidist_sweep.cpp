@@ -6,6 +6,10 @@
 //       [--out BENCH_sweep.json] [--baseline old.json] [--tolerance 0.01]
 //       [--deterministic] [--shards N] [--list-workloads]
 //
+// --jobs takes 0 (hardware concurrency) to 1024, --shards an unsigned
+// 32-bit count, --tolerance a finite number >= 0; any other value is a
+// usage error (exit 1).
+//
 // --shards N requests the sharded engine for every run (honoured only by
 // shard-safe workloads; the rest collapse to the legacy engine, see
 // exp::run_scenario). The deterministic artifact body is identical for
@@ -16,19 +20,28 @@
 // gate failed (or incompatible baseline).
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "core/report.hpp"
 #include "exp/exp.hpp"
 
 namespace {
 
 using namespace mobidist;
+
+/// A worker is an OS thread; more than this is a typo, not a request.
+constexpr std::uint64_t kMaxJobs = 1024;
+/// The scenario file's own range for topology.shards.
+constexpr std::uint64_t kMaxShards = std::numeric_limits<std::uint32_t>::max();
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -62,28 +75,36 @@ int main(int argc, char** argv) {
   bool deterministic = false;
   bool list_workloads = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        std::exit(1);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+          std::exit(1);
+        }
+        return argv[++i];
+      };
+      const auto count = [&](std::uint64_t max) {
+        return static_cast<unsigned>(tools::uint_flag(arg, next(), max));
+      };
+      if (arg == "--scenario") scenario_path = next();
+      else if (arg == "--out") out_path = next();
+      else if (arg == "--baseline") baseline_path = next();
+      else if (arg == "--tolerance") tolerance = tools::real_flag(arg, next());
+      else if (arg == "--jobs") jobs = count(kMaxJobs);
+      else if (arg == "--shards") shards = count(kMaxShards);
+      else if (arg == "--deterministic") deterministic = true;
+      else if (arg == "--list-workloads") list_workloads = true;
+      else if (arg == "--help" || arg == "-h") return usage(argv[0]);
+      else {
+        std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+        return usage(argv[0]);
       }
-      return argv[++i];
-    };
-    if (arg == "--scenario") scenario_path = next();
-    else if (arg == "--out") out_path = next();
-    else if (arg == "--baseline") baseline_path = next();
-    else if (arg == "--tolerance") tolerance = std::atof(next());
-    else if (arg == "--jobs") jobs = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--shards") shards = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--deterministic") deterministic = true;
-    else if (arg == "--list-workloads") list_workloads = true;
-    else if (arg == "--help" || arg == "-h") return usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return usage(argv[0]);
     }
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return usage(argv[0]);
   }
 
   if (list_workloads) {
