@@ -1,6 +1,5 @@
 #include "exp/scenario.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -107,11 +106,9 @@ double ScenarioSpec::param(std::string_view key, double fallback) const {
 std::uint64_t ScenarioSpec::param_u64(std::string_view key, std::uint64_t fallback) const {
   const auto it = params.find(key);
   if (it == params.end()) return fallback;
-  // 0x1p64 is exactly 2^64; the cast below is defined only under it.
-  if (!(it->second >= 0 && it->second < 0x1p64) || it->second != std::floor(it->second)) {
-    fail("param '" + std::string(key) + "' must be an integer in [0, 2^64)");
-  }
-  return static_cast<std::uint64_t>(it->second);
+  const auto n = json::Value(it->second).as_u64();
+  if (!n) fail("param '" + std::string(key) + "' must be an integer in [0, 2^64)");
+  return *n;
 }
 
 void apply_override(ScenarioSpec& spec, std::string_view key, const json::Value& value) {
