@@ -13,22 +13,31 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "exp/exp.hpp"
 
 namespace mobidist::bench {
 
-/// MOBIDIST_JOBS caps bench parallelism; unset = hardware concurrency.
+/// MOBIDIST_JOBS caps bench parallelism, read like mobidist_sweep's
+/// --jobs; unset, empty or 0 = hardware concurrency. Any other value
+/// that is not a whole number in [0, core::kMaxJobs] is an error: the
+/// bench names the variable and exits 1.
 inline unsigned jobs_from_env() {
-  if (const char* env = std::getenv("MOBIDIST_JOBS"); env != nullptr) {
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
+  const char* env = std::getenv("MOBIDIST_JOBS");
+  if (env == nullptr || *env == '\0') return 0;
+  try {
+    return static_cast<unsigned>(core::uint_flag("MOBIDIST_JOBS", env, core::kMaxJobs));
+  } catch (const std::invalid_argument& err) {
+    std::cerr << "error: " << err.what() << '\n';
+    std::exit(1);
   }
-  return 0;
 }
 
 class Sections {

@@ -1,11 +1,12 @@
 #pragma once
 
-// Numeric flag values for the command-line tools. A value is read as one
-// whole token and checked against its range; anything else — a sign on a
-// count, trailing text ("1e6" for an integer), a value out of range —
-// throws std::invalid_argument naming the flag, and the tool prints its
-// usage error and exits 1 instead of running on a wrapped or defaulted
-// number.
+// Numeric settings of the command-line tools and the benches: a flag's
+// value, or an environment variable such as MOBIDIST_JOBS. A value is
+// read as one whole token and checked against its range; anything else —
+// a sign on a count, trailing text ("1e6" for an integer), a value out of
+// range — throws std::invalid_argument naming the setting, and the
+// program prints the error and exits 1 instead of running on a wrapped or
+// defaulted number.
 
 #include <charconv>
 #include <cmath>
@@ -14,7 +15,11 @@
 #include <string>
 #include <string_view>
 
-namespace mobidist::tools {
+namespace mobidist::core {
+
+/// The most workers mobidist_sweep's --jobs and the benches'
+/// MOBIDIST_JOBS accept (0 means hardware concurrency).
+inline constexpr std::uint64_t kMaxJobs = 1024;
 
 /// `text` as an unsigned decimal integer in [0, max].
 inline std::uint64_t uint_flag(std::string_view flag, std::string_view text,
@@ -43,4 +48,4 @@ inline double real_flag(std::string_view flag, std::string_view text) {
   return value;
 }
 
-}  // namespace mobidist::tools
+}  // namespace mobidist::core

@@ -348,42 +348,55 @@ std::string to_json(const ScenarioSpec& spec) {
     }
     os << "]}";
   }
-  if (spec.mobility) {
+  {
     // Fields beyond the original trio are emitted only when non-default,
     // keeping pre-library scenario bodies (and golden artifacts)
-    // byte-identical.
+    // byte-identical. The block is written whenever it says anything: a
+    // disabled model still drives group_mobility's and multicast's
+    // members.
     const mobility::MobilityConfig defaults;
     const auto& mob = spec.mob;
-    os << ",\"mobility\":{\"enabled\":true,\"pattern\":\"" << pattern_name(mob.pattern)
-       << "\",\"mean_pause\":" << real(mob.mean_pause)
-       << ",\"mean_transit\":" << real(mob.mean_transit);
-    if (mob.zipf_s != defaults.zipf_s) os << ",\"zipf_s\":" << real(mob.zipf_s);
-    if (mob.max_moves_per_host != UINT64_MAX) {
-      os << ",\"max_moves_per_host\":" << mob.max_moves_per_host;
+    std::ostringstream extra;
+    if (mob.zipf_s != defaults.zipf_s) extra << ",\"zipf_s\":" << real(mob.zipf_s);
+    if (mob.max_moves_per_host != defaults.max_moves_per_host) {
+      extra << ",\"max_moves_per_host\":" << mob.max_moves_per_host;
     }
-    if (mob.stop_at != sim::kTimeNever) os << ",\"stop_at\":" << mob.stop_at;
+    if (mob.stop_at != defaults.stop_at) extra << ",\"stop_at\":" << mob.stop_at;
     if (mob.disconnect_prob != defaults.disconnect_prob) {
-      os << ",\"disconnect_prob\":" << real(mob.disconnect_prob);
+      extra << ",\"disconnect_prob\":" << real(mob.disconnect_prob);
     }
     if (mob.mean_disconnect != defaults.mean_disconnect) {
-      os << ",\"mean_disconnect\":" << real(mob.mean_disconnect);
+      extra << ",\"mean_disconnect\":" << real(mob.mean_disconnect);
     }
-    if (mob.regions != defaults.regions) os << ",\"regions\":" << mob.regions;
-    if (mob.grid_width != defaults.grid_width) os << ",\"grid_width\":" << mob.grid_width;
+    if (mob.regions != defaults.regions) extra << ",\"regions\":" << mob.regions;
+    if (mob.grid_width != defaults.grid_width) {
+      extra << ",\"grid_width\":" << mob.grid_width;
+    }
     if (mob.phase_period != defaults.phase_period) {
-      os << ",\"phase_period\":" << mob.phase_period;
+      extra << ",\"phase_period\":" << mob.phase_period;
     }
     if (mob.day_fraction != defaults.day_fraction) {
-      os << ",\"day_fraction\":" << real(mob.day_fraction);
+      extra << ",\"day_fraction\":" << real(mob.day_fraction);
     }
     if (mob.crowd_fraction != defaults.crowd_fraction) {
-      os << ",\"crowd_fraction\":" << real(mob.crowd_fraction);
+      extra << ",\"crowd_fraction\":" << real(mob.crowd_fraction);
     }
     if (mob.crowd_period != defaults.crowd_period) {
-      os << ",\"crowd_period\":" << mob.crowd_period;
+      extra << ",\"crowd_period\":" << mob.crowd_period;
     }
-    if (mob.crowd_dwell != defaults.crowd_dwell) os << ",\"crowd_dwell\":" << mob.crowd_dwell;
-    os << '}';
+    if (mob.crowd_dwell != defaults.crowd_dwell) {
+      extra << ",\"crowd_dwell\":" << mob.crowd_dwell;
+    }
+    const auto rest = extra.str();
+    const bool trio_default = mob.pattern == defaults.pattern &&
+                              mob.mean_pause == defaults.mean_pause &&
+                              mob.mean_transit == defaults.mean_transit;
+    if (spec.mobility || !trio_default || !rest.empty()) {
+      os << ",\"mobility\":{\"enabled\":" << (spec.mobility ? "true" : "false")
+         << ",\"pattern\":\"" << pattern_name(mob.pattern)
+         << "\",\"mean_pause\":" << real(mob.mean_pause)
+         << ",\"mean_transit\":" << real(mob.mean_transit) << rest << '}';
+    }
   }
   os << ",\"params\":{";
   bool first = true;

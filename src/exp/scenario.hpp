@@ -28,11 +28,12 @@ struct ScenarioSpec {
   fault::FaultProfile fault; ///< installed only when non-trivial
 
   bool mobility = false;             ///< drive background mobility?
-  mobility::MobilityConfig mob;      ///< its parameters when enabled
+  mobility::MobilityConfig mob;      ///< the model; group workloads use it even when off
 
   /// Free-form numeric workload knobs ("requests", "messages", ...).
-  /// Workload builders read them with param(); unknown keys are an error
-  /// at run time so typos cannot silently become defaults.
+  /// Each workload reads the keys it knows with param(); nothing checks
+  /// the rest, so a misspelled key ("requets") is ignored and its knob
+  /// keeps its default.
   std::map<std::string, double, std::less<>> params;
 
   /// The param named `key`; `fallback` when it is not set.

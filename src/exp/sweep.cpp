@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "exp/json.hpp"
+#include "sim/rng.hpp"
 
 namespace mobidist::exp {
 
@@ -51,12 +52,10 @@ std::string value_label(const json::Value& value) {
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
-  // splitmix64 over the stream position; the +1 keeps (base=0, index=0)
-  // away from the all-zero fixed point of the raw mixer input.
-  std::uint64_t z = base + (index + 1) * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // Output `index` of a splitmix64 stream seeded with `base`; the mixer's
+  // own gamma step keeps (base=0, index=0) away from the all-zero fixed
+  // point of the finalizer.
+  return sim::splitmix64(base + index * sim::kSplitmixGamma);
 }
 
 std::vector<std::uint64_t> derive_seeds(std::uint64_t base, std::size_t count) {

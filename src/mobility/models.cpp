@@ -24,17 +24,10 @@ namespace {
   throw std::invalid_argument("mobility: " + what);
 }
 
-/// splitmix64 finalizer — the same mixer exp::derive_seeds uses, so
-/// per-host state (homes, cohorts) is well-spread for any base seed.
-constexpr std::uint64_t splitmix(std::uint64_t z) noexcept {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
+/// Hash of (a, b) through the splitmix64 mixer exp::derive_seeds uses,
+/// so per-host state (homes, cohorts) is well-spread for any base seed.
 constexpr std::uint64_t mix(std::uint64_t a, std::uint64_t b) noexcept {
-  return splitmix(splitmix(a) + b);
+  return sim::splitmix64(sim::splitmix64(a) + b);
 }
 
 /// Uniform fraction in [0, 1) from a mixed hash (53 mantissa bits).

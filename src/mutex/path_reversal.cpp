@@ -70,7 +70,6 @@ class PathRevMutex::StationAgent : public net::MssAgent {
   void on_mh_unreachable(MhId /*mh*/, const net::Body& body) override {
     const auto* grant = body.get<PathRevGrant>();
     if (grant == nullptr) return;
-    ++owner_.skipped_disconnected_;
     ++owner_.skipped_disconnected_counter_;
     net().ledger().charge_fixed();  // the modeled token-return message
     net().emit({.kind = obs::EventKind::kTokenArrive,
@@ -93,7 +92,6 @@ class PathRevMutex::StationAgent : public net::MssAgent {
  private:
   void withdraw(MhId mh) {
     const auto n = engine_.withdraw(mh);
-    owner_.rehomed_ += n;
     owner_.rehomed_counter_ += n;
   }
 
@@ -168,7 +166,6 @@ class PathRevMutex::HostAgent : public net::MhAgent {
     if (pending_ == 0) {
       // A re-filed copy of an already-served request reached the front:
       // bounce the token straight back without entering the CS.
-      ++owner_.bounced_grants_;
       ++owner_.bounced_counter_;
       return_token(grant->home, grant->serial);
       return;

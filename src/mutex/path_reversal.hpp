@@ -230,12 +230,16 @@ class PathRevMutex {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   /// Grants that found the MH disconnected (token bounced at the MSS).
   [[nodiscard]] std::uint64_t skipped_disconnected() const noexcept {
-    return skipped_disconnected_;
+    return skipped_disconnected_counter_.value();
   }
   /// Surplus grants a MH returned unused (re-homed request served twice).
-  [[nodiscard]] std::uint64_t bounced_grants() const noexcept { return bounced_grants_; }
+  [[nodiscard]] std::uint64_t bounced_grants() const noexcept {
+    return bounced_counter_.value();
+  }
   /// Requests withdrawn from a cell the MH left (re-homed on re-join).
-  [[nodiscard]] std::uint64_t rehomed() const noexcept { return rehomed_; }
+  [[nodiscard]] std::uint64_t rehomed() const noexcept {
+    return rehomed_counter_.value();
+  }
   /// Requests still queued across every station (0 once drained).
   [[nodiscard]] std::uint64_t queued_total() const;
 
@@ -253,11 +257,8 @@ class PathRevMutex {
   std::vector<std::shared_ptr<StationAgent>> stations_;
   std::vector<std::shared_ptr<HostAgent>> hosts_;
   std::uint64_t completed_ = 0;
-  std::uint64_t skipped_disconnected_ = 0;
-  std::uint64_t bounced_grants_ = 0;
-  std::uint64_t rehomed_ = 0;
   std::uint64_t transfers_ = 0;  ///< token-movement serial (events' arg)
-  // Registry-backed mirrors of the tree-path counters.
+  // Registry-backed tree-path counters; the accessors above read them.
   obs::Counter& token_passes_counter_;
   obs::Counter& token_grants_counter_;
   obs::Counter& claim_hops_counter_;

@@ -47,7 +47,6 @@ class R2Mutex::StationAgent : public net::MssAgent {
   void on_mh_unreachable(MhId /*mh*/, const net::Body& body) override {
     const auto* grant = body.get<R2TokenToMh>();
     if (grant == nullptr) return;
-    ++owner_.skipped_disconnected_;
     ++owner_.skipped_disconnected_counter_;
     net().ledger().charge_fixed();  // the modeled token-return message
     net().emit({.kind = obs::EventKind::kTokenArrive,

@@ -88,7 +88,7 @@ class R2Mutex {
   [[nodiscard]] bool token_absorbed() const noexcept { return absorbed_; }
   /// Requests skipped because the MH had disconnected at grant time.
   [[nodiscard]] std::uint64_t skipped_disconnected() const noexcept {
-    return skipped_disconnected_;
+    return skipped_disconnected_counter_.value();
   }
 
   /// Grants to one MH within one traversal window (R2' invariant: ≤ 1).
@@ -123,10 +123,8 @@ class R2Mutex {
   std::uint64_t target_traversals_ = 0;
   std::uint64_t traversals_done_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t skipped_disconnected_ = 0;
-  // Registry-backed mirrors of the token-path counters (bound to the
-  // network's registry at construction; the uint64 fields above remain
-  // the accessor-facing source of truth).
+  // Registry-backed token-path counters, bound to the network's registry
+  // at construction; skipped_disconnected() reads its counter.
   obs::Counter& token_passes_counter_;
   obs::Counter& token_grants_counter_;
   obs::Counter& skipped_disconnected_counter_;

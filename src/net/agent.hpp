@@ -15,8 +15,9 @@ class Network;
 /// when the MH cannot currently be reached.
 enum class SendPolicy : std::uint8_t {
   /// Follow the MH across moves (each retry incurs a fresh search); if
-  /// it disconnected, park the message at the disconnect MSS and deliver
-  /// on reconnect. This is the model's "eventual delivery" guarantee.
+  /// it disconnected, hold the message until it reconnects and deliver
+  /// it from the new cell. This is the model's "eventual delivery"
+  /// guarantee.
   kEventualDelivery,
   /// Follow the MH across moves, but if it disconnected notify the
   /// sending agent (MssAgent::on_mh_unreachable) instead of parking.

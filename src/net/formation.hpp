@@ -74,6 +74,9 @@ class FormationLayer {
     Envelope env;                 ///< the message, ready to deliver
     obs::EventId send_id = 0;     ///< kSend emitted when it was enqueued
     std::size_t bytes = 0;        ///< wire_size() at enqueue time
+    /// Set at transmission when the packet crosses streams: send_id then
+    /// holds the kSend's cross-stream ref and this its Lamport clock.
+    std::uint64_t send_clock = 0;
   };
 
   /// A formed packet handed to the transmit callback.

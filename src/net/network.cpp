@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace mobidist::net {
@@ -27,7 +28,7 @@ void check_latency_range(const char* name, sim::Duration lo, sim::Duration hi) {
 /// sequence of each lane is a pure function of (seed, lane) — the
 /// grouping-independence keystone of the sharded engine.
 [[nodiscard]] std::uint64_t lane_stream_seed(std::uint64_t seed, std::uint32_t lane) {
-  return seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(lane) + 1);
+  return seed + sim::kSplitmixGamma * (static_cast<std::uint64_t>(lane) + 1);
 }
 
 }  // namespace
@@ -348,9 +349,33 @@ sim::SimTime Network::wired_transit(MssId from, MssId to) {
   return fifo_arrival(wired_clock(from, to), ChannelType::kWired, latency);
 }
 
+obs::EventId Network::wired_send(MssId from, MssId to, std::uint64_t channel,
+                                ProtocolId proto, std::string_view detail) {
+  return emit({.kind = obs::EventKind::kSend,
+               .entity = entity_of(from),
+               .peer = entity_of(to),
+               .channel = channel,
+               .arg = proto,
+               .detail = detail});
+}
+
+Network::WiredCause Network::wired_cause(MssId from, MssId to,
+                                         obs::EventId send_id) const {
+  if (!sharded() || from == to) return {send_id, 0};
+  return {obs::make_cross_ref(tls_shard_, send_id), sl().events.lamport_of(send_id)};
+}
+
 template <typename Fn>
 void Network::land_wired(MssId from, MssId to, sim::SimTime at, Fn fn) {
-  sl().sched.schedule_at(at, [this, from, to, fn = std::move(fn)]() mutable {
+  if (sharded() && from != to) {
+    // Every cross-MSS hop rides the window mailbox — even when both
+    // lanes share a shard — so the injection order (and with it the
+    // receiver's event sequence) is a pure function of the mail set,
+    // not of the grouping. The sharded engine has no fault plane.
+    post_mail(index(from), index(to), at, std::move(fn));
+    return;
+  }
+  auto landing = [this, from, to, fn = std::move(fn)]() mutable {
     if (fault_) {
       // A crashed (or partitioned-off) destination leaves the message
       // waiting at its network interface; re-offer it when the outage
@@ -367,84 +392,54 @@ void Network::land_wired(MssId from, MssId to, sim::SimTime at, Fn fn) {
       }
     }
     fn();
-  });
+  };
+  // The mailbox stores `fn` alone, which is smaller still.
+  static_assert(sizeof(landing) <= sim::SmallFn::kInlineCapacity &&
+                    std::is_nothrow_move_constructible_v<decltype(landing)>,
+                "a wired landing must fit sim::SmallFn's inline buffer");
+  sl().sched.schedule_at(at, std::move(landing));
+}
+
+template <typename Fn>
+void Network::arrive_wired(MssId from, MssId to, WiredCause cause, std::uint64_t channel,
+                           ProtocolId proto, std::string_view detail, Fn&& handle) {
+  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
+                             .entity = entity_of(to),
+                             .peer = entity_of(from),
+                             .cause = cause.id,
+                             .channel = channel,
+                             .arg = proto,
+                             .detail = detail,
+                             .cause_clock = cause.clock});
+  obs::CauseScope scope(sl().events, recv_id);
+  handle();
 }
 
 void Network::send_wired(MssId from, MssId to, Envelope env) {
   env.src = from;
   env.dst = to;
-  if (from == to) {
-    // Local dispatch: free, but still through the event queue so agent
-    // reentrancy is impossible. Channel 0: self-sends are unordered
-    // relative to wired traffic.
-    const auto send_id = emit({.kind = obs::EventKind::kSend,
-                               .entity = entity_of(from),
-                               .peer = entity_of(to),
-                               .arg = env.proto});
-    land_wired(from, to, sl().sched.now(),
-               [this, from, to, send_id, env = std::move(env)]() mutable {
-                 arrive_wired(from, to, send_id, 0, std::move(env));
-               });
-    return;
+  // Local dispatch is free, but still goes through the event queue so
+  // agent reentrancy is impossible. Channel 0: self-sends are unordered
+  // relative to wired traffic.
+  auto arrival = sl().sched.now();
+  std::uint64_t channel = 0;
+  if (from != to) {
+    if (sl().formation) {
+      enqueue_wired(from, to, std::move(env));
+      return;
+    }
+    if (!env.control) sl().ledger.charge_fixed();
+    arrival = wired_transit(from, to);
+    channel = channel_key(ChannelType::kWired, index(from), index(to));
   }
-  if (sl().formation) {
-    enqueue_wired(from, to, std::move(env));
-    return;
-  }
-  if (!env.control) sl().ledger.charge_fixed();
-  const auto arrival = wired_transit(from, to);
-  const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(to),
-                             .channel = channel,
-                             .arg = env.proto});
-  if (sharded()) {
-    // Every cross-MSS hop rides the window mailbox — even when both
-    // lanes share a shard — so the injection order (and with it the
-    // receiver's event sequence) is a pure function of the mail set,
-    // not of the grouping. The cause crosses streams as an encoded ref
-    // plus the sender's Lamport clock (see obs/merge.hpp).
-    const auto cross_cause = obs::make_cross_ref(tls_shard_, send_id);
-    const auto send_clock = sl().events.lamport_of(send_id);
-    post_mail(index(from), index(to), arrival,
-              [this, from, to, cross_cause, channel, send_clock,
-               env = std::move(env)]() mutable {
-                arrive_wired(from, to, cross_cause, channel, std::move(env), send_clock);
-              });
-    return;
-  }
+  const auto send_id = wired_send(from, to, channel, env.proto);
   land_wired(from, to, arrival,
-             [this, from, to, send_id, channel, env = std::move(env)]() mutable {
-               arrive_wired(from, to, send_id, channel, std::move(env));
+             [this, from, to, cause = wired_cause(from, to, send_id), channel,
+              env = std::move(env)]() mutable {
+               const auto proto = env.proto;
+               arrive_wired(from, to, cause, channel, proto, {},
+                            [&] { deliver_wired(to, std::move(env)); });
              });
-}
-
-void Network::arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
-                           Envelope env, std::uint64_t send_clock) {
-  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                             .entity = entity_of(to),
-                             .peer = entity_of(from),
-                             .cause = send_id,
-                             .channel = channel,
-                             .arg = env.proto,
-                             .cause_clock = send_clock});
-  obs::CauseScope scope(sl().events, recv_id);
-  deliver_wired(to, std::move(env));
-}
-
-template <typename Fn>
-void Network::arrive_forward(MssId from, MssId at, obs::EventId send_id,
-                             std::uint64_t channel, ProtocolId proto, Fn& deliver) {
-  const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                             .entity = entity_of(at),
-                             .peer = entity_of(from),
-                             .cause = send_id,
-                             .channel = channel,
-                             .arg = proto,
-                             .detail = "forward"});
-  obs::CauseScope scope(sl().events, recv_id);
-  deliver();
 }
 
 void Network::deliver_wired(MssId to, Envelope env) {
@@ -462,11 +457,7 @@ void Network::enqueue_wired(MssId from, MssId to, Envelope env) {
   // causality and channel-FIFO checking are unchanged by batching.
   if (!env.control) sl().ledger.charge_wired_msg();
   const auto channel = channel_key(ChannelType::kWired, index(from), index(to));
-  const auto send_id = emit({.kind = obs::EventKind::kSend,
-                             .entity = entity_of(from),
-                             .peer = entity_of(to),
-                             .channel = channel,
-                             .arg = env.proto});
+  const auto send_id = wired_send(from, to, channel, env.proto);
   const auto bytes = wire_size(env);
   sl().formation->enqueue(from, to, FormationLayer::Item{std::move(env), send_id, bytes});
 }
@@ -506,59 +497,34 @@ void Network::transmit_packet(FormationLayer::Packet packet) {
   } else {
     ++slice.formation_size_flushes;
   }
-  if (sharded()) {
-    // The packet and each coalesced message crosses streams: rewrite
-    // their ids to cross refs and carry the senders' Lamport clocks so
-    // the receiving stream's clocks advance identically in every
-    // grouping.
-    const auto stream = tls_shard_;
-    const auto packet_clock = slice.events.lamport_of(packet_id);
-    std::vector<std::uint64_t> item_clocks;
-    item_clocks.reserve(packet.items.size());
-    for (auto& item : packet.items) {
-      item_clocks.push_back(slice.events.lamport_of(item.send_id));
-      item.send_id = obs::make_cross_ref(stream, item.send_id);
-    }
-    post_mail(index(from), index(to), arrival,
-              [this, packet = std::move(packet),
-               cross_id = obs::make_cross_ref(stream, packet_id), channel, packet_clock,
-               item_clocks = std::move(item_clocks)]() mutable {
-                arrive_packet(std::move(packet), cross_id, channel, packet_clock,
-                              std::move(item_clocks));
-              });
-    return;
+  // Each coalesced message's recv cites its own send.
+  for (auto& item : packet.items) {
+    const auto cause = wired_cause(from, to, item.send_id);
+    item.send_id = cause.id;
+    item.send_clock = cause.clock;
   }
-  land_wired(from, to, arrival, [this, packet = std::move(packet), packet_id, channel]() mutable {
-    arrive_packet(std::move(packet), packet_id, channel);
-  });
+  land_wired(from, to, arrival,
+             [this, packet = std::move(packet), cause = wired_cause(from, to, packet_id),
+              channel]() mutable { arrive_packet(std::move(packet), cause, channel); });
 }
 
-void Network::arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
-                            std::uint64_t channel, std::uint64_t packet_clock,
-                            std::vector<std::uint64_t> item_clocks) {
+void Network::arrive_packet(FormationLayer::Packet packet, WiredCause cause,
+                            std::uint64_t channel) {
   emit({.kind = obs::EventKind::kPacketFlush,
         .entity = entity_of(packet.to),
         .peer = entity_of(packet.from),
-        .cause = packet_id,
+        .cause = cause.id,
         .channel = channel,
         .arg = packet.items.size(),
         .detail = packet.trigger,
-        .cause_clock = packet_clock});
+        .cause_clock = cause.clock});
   // Disgorge in send order; each message's recv consumes its own send,
   // so the per-message FIFO history is indistinguishable from unbatched
   // delivery at the same instant.
-  for (std::size_t i = 0; i < packet.items.size(); ++i) {
-    auto& item = packet.items[i];
-    const auto recv_id = emit({.kind = obs::EventKind::kRecv,
-                               .entity = entity_of(packet.to),
-                               .peer = entity_of(packet.from),
-                               .cause = item.send_id,
-                               .channel = channel,
-                               .arg = item.env.proto,
-                               .detail = "packet",
-                               .cause_clock = i < item_clocks.size() ? item_clocks[i] : 0});
-    obs::CauseScope scope(sl().events, recv_id);
-    deliver_wired(packet.to, std::move(item.env));
+  for (auto& item : packet.items) {
+    arrive_wired(packet.from, packet.to, {item.send_id, item.send_clock}, channel,
+                 item.env.proto, "packet",
+                 [&] { deliver_wired(packet.to, std::move(item.env)); });
   }
 }
 
@@ -812,8 +778,13 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
         msg::UnreachableNotice notice{to, env.proto, env.body};
         send_wired(at, from, make_control(NodeRef(at), NodeRef(from), std::move(notice)));
       } else {
+        // Replayed from the MH's new cell when it reconnects, as a first
+        // attempt under the rejoin's cause.
         ++sl().stats.queued_for_reconnect;
-        parked_[to].push_back(Parked{std::move(env)});
+        awaiting_join_[to].push_back(
+            [this, env = std::move(env), to, policy](MssId cell) mutable {
+              final_hop(cell, std::move(env), to, policy, 0, sl().events.current_cause());
+            });
       }
       return;
     }
@@ -821,50 +792,50 @@ void Network::send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy p
     // of the single c_search charge; in broadcast mode it is a real
     // wired message.
     if (cfg_.search == SearchMode::kBroadcast && at != from) sl().ledger.charge_fixed();
-    // The retry path re-launches from a scheduled lambda where no
-    // dispatch scope is active; carry the locate resolution's cause into
-    // it so retries stay on the causal chain.
-    auto deliver = [this, at, env = std::move(env), to, policy, attempt,
-                    cause = sl().events.current_cause()]() mutable {
-      send_wireless_downlink(
-          at, std::move(env), to,
-          [this, at, to, policy, attempt, cause](const Envelope& failed) {
-            ++sl().stats.delivery_retries;
-            sl().delivery_retry_depth.record(attempt + 1);
-            // Re-launch from the cell that noticed the miss: its MSS
-            // searches again, as the paper's footnote 1 describes. The
-            // backoff is essential: a just-departed MH can still sit in the
-            // local list until its leave() lands, and an instant retry would
-            // re-resolve to the same cell in the same virtual instant,
-            // spinning forever without advancing time.
-            const auto backoff = cfg_.latency.wireless_max + 1;
-            sl().sched.schedule(backoff, [this, at, env = failed, to, policy, attempt, cause]() {
-              obs::CauseScope scope(sl().events, cause);
-              send_to_mh_attempt(at, env, to, policy, attempt + 1);
-            });
-          });
-    };
+    // A retry re-launches from a scheduled lambda where no dispatch
+    // scope is active; it runs under the locate resolution's cause so
+    // retries stay on the causal chain.
+    const auto cause = sl().events.current_cause();
     if (at == from) {
-      deliver();
-    } else {
-      // The forward leg bypasses the formation queue (it delivers via a
-      // closure, not dispatch), but shares the wired channel with it:
-      // flush the pending packet first so this send cannot overtake
-      // messages queued earlier on the same channel.
-      if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
-      const auto arrival = wired_transit(from, at);
-      const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
-      const auto fwd_id = emit({.kind = obs::EventKind::kSend,
-                                .entity = entity_of(from),
-                                .peer = entity_of(at),
-                                .channel = channel,
-                                .arg = env.proto,
-                                .detail = "forward"});
-      land_wired(from, at, arrival, [this, from, at, fwd_id, channel, proto = env.proto,
-                                     deliver = std::move(deliver)]() mutable {
-        arrive_forward(from, at, fwd_id, channel, proto, deliver);
-      });
+      final_hop(at, std::move(env), to, policy, attempt, cause);
+      return;
     }
+    // The forward leg bypasses the formation queue (it delivers via a
+    // closure, not dispatch), but shares the wired channel with it:
+    // flush the pending packet first so this send cannot overtake
+    // messages queued earlier on the same channel.
+    if (sl().formation) sl().formation->flush_pair(from, at, "barrier");
+    const auto arrival = wired_transit(from, at);
+    const auto channel = channel_key(ChannelType::kWired, index(from), index(at));
+    const auto fwd_id = wired_send(from, at, channel, env.proto, "forward");
+    land_wired(from, at, arrival,
+               [this, from, at, fwd = wired_cause(from, at, fwd_id), channel,
+                env = std::move(env), to, policy, attempt, cause]() mutable {
+                 const auto proto = env.proto;
+                 arrive_wired(from, at, fwd, channel, proto, "forward", [&] {
+                   final_hop(at, std::move(env), to, policy, attempt, cause);
+                 });
+               });
+  });
+}
+
+void Network::final_hop(MssId at, Envelope env, MhId to, SendPolicy policy,
+                        std::uint32_t attempt, obs::EventId cause) {
+  send_wireless_downlink(at, std::move(env), to, [this, at, to, policy, attempt,
+                                                   cause](const Envelope& failed) {
+    ++sl().stats.delivery_retries;
+    sl().delivery_retry_depth.record(attempt + 1);
+    // Re-launch from the cell that noticed the miss: its MSS searches
+    // again, as the paper's footnote 1 describes. The backoff is
+    // essential: a just-departed MH can still sit in the local list until
+    // its leave() lands, and an instant retry would re-resolve to the
+    // same cell in the same virtual instant, spinning forever without
+    // advancing time.
+    const auto backoff = cfg_.latency.wireless_max + 1;
+    sl().sched.schedule(backoff, [this, at, env = failed, to, policy, attempt, cause]() {
+      obs::CauseScope scope(sl().events, cause);
+      send_to_mh_attempt(at, env, to, policy, attempt + 1);
+    });
   });
 }
 
@@ -884,65 +855,47 @@ void Network::relay_to_mh(MssId via, const msg::Relay& relay) {
 void Network::locate(MssId from, MhId target, LocateCallback cb) {
   require_legacy("locate()");
   ++sl().stats.searches_started;
-  switch (cfg_.search) {
-    case SearchMode::kOracle: oracle_locate(from, target, std::move(cb)); return;
-    case SearchMode::kBroadcast: broadcast_locate(from, target, std::move(cb)); return;
-  }
-}
-
-void Network::oracle_locate(MssId from, MhId target, LocateCallback cb) {
-  const bool local_hit = mh(target).current_mss() == from;
-  if (cfg_.charge_search_for_local || !local_hit) sl().ledger.charge_search();
-  emit({.kind = obs::EventKind::kSearchRound,
-        .entity = entity_of(from),
-        .peer = entity_of(target),
-        .arg = 1,
-        .detail = "oracle"});
-  settle_locate(sample(index(from), cfg_.latency.search_min, cfg_.latency.search_max), from,
-                target, std::move(cb));
-}
-
-void Network::broadcast_locate(MssId from, MhId target, LocateCallback cb) {
-  // Degenerate single-MSS system: the only cell is ours. The fast path
-  // must still distinguish all three MH states — reporting an in-transit
-  // target as connected would spin the downlink fail/retry loop until
-  // its join lands — so it settles like an oracle locate.
-  if (cfg_.num_mss == 1) {
-    emit({.kind = obs::EventKind::kSearchRound,
-          .entity = entity_of(from),
-          .peer = entity_of(target),
-          .arg = 1,
-          .detail = "broadcast"});
-    settle_locate(0, from, target, std::move(cb));
+  if (cfg_.search == SearchMode::kBroadcast && cfg_.num_mss > 1) {
+    const std::uint64_t token = next_search_token_++;
+    broadcast_[token] = BroadcastSearch{from, target, std::move(cb)};
+    broadcast_round(token);
     return;
   }
-  const std::uint64_t token = next_search_token_++;
-  broadcast_[token] = BroadcastSearch{from, target, std::move(cb)};
-  broadcast_round(token);
-}
-
-void Network::settle_locate(sim::Duration delay, MssId from, MhId target, LocateCallback cb) {
-  sl().sched.schedule(delay, [this, from, target, cause = sl().events.current_cause(),
+  // The oracle reads the target's state after one search latency. So
+  // does a broadcast in a single-MSS system, at once: the only cell is
+  // ours, and reporting an in-transit target as connected would spin the
+  // downlink fail/retry loop until its join lands.
+  sim::Duration delay = 0;
+  if (cfg_.search == SearchMode::kOracle) {
+    const bool local_hit = mh(target).current_mss() == from;
+    if (cfg_.charge_search_for_local || !local_hit) sl().ledger.charge_search();
+    delay = sample(index(from), cfg_.latency.search_min, cfg_.latency.search_max);
+  }
+  search_round(from, target, 1);
+  sl().sched.schedule(delay, [this, target, cause = sl().events.current_cause(),
                               cb = std::move(cb)]() mutable {
     obs::CauseScope scope(sl().events, cause);
-    auto& host = mh(target);
-    switch (host.state()) {
-      case MhState::kConnected:
-        sl().search_rounds.record(1);
-        cb(host.current_mss(), false);
-        return;
-      case MhState::kDisconnected:
-        sl().search_rounds.record(1);
-        cb(host.last_mss(), true);
-        return;
-      case MhState::kInTransit:
-        // The model guarantees eventual delivery across moves: park the
-        // resolution until the MH joins its next cell.
-        ++sl().stats.searches_pended;
-        pending_locates_[target].push_back(PendingLocate{from, std::move(cb)});
-        return;
+    const auto& host = mh(target);
+    if (host.state() == MhState::kInTransit) {
+      // The model guarantees eventual delivery across moves: the search
+      // resolves when the MH joins its next cell.
+      ++sl().stats.searches_pended;
+      awaiting_join_[target].push_back([cb = std::move(cb)](MssId at) { cb(at, false); });
+      return;
     }
+    // A connected MH answers from its cell, a disconnected one from the
+    // cell holding its "disconnected" flag; last_mss() is both.
+    sl().search_rounds.record(1);
+    cb(host.last_mss(), host.state() == MhState::kDisconnected);
   });
+}
+
+void Network::search_round(MssId origin, MhId target, std::uint64_t round) {
+  emit({.kind = obs::EventKind::kSearchRound,
+        .entity = entity_of(origin),
+        .peer = entity_of(target),
+        .arg = round,
+        .detail = cfg_.search == SearchMode::kOracle ? "oracle" : "broadcast"});
 }
 
 void Network::broadcast_round(std::uint64_t token) {
@@ -951,20 +904,11 @@ void Network::broadcast_round(std::uint64_t token) {
   auto& search = it->second;
   search.replies = 0;
   ++search.round;
-  search.found = false;
   search.saw_disconnected = false;
-  emit({.kind = obs::EventKind::kSearchRound,
-        .entity = entity_of(search.origin),
-        .peer = entity_of(search.target),
-        .arg = search.round,
-        .detail = "broadcast"});
+  search_round(search.origin, search.target, search.round);
   // Before spraying queries, check our own cell (free).
   if (mss(search.origin).is_local(search.target)) {
-    auto cb = std::move(search.cb);
-    const MssId origin = search.origin;
-    sl().search_rounds.record(search.round);
-    broadcast_.erase(it);
-    cb(origin, false);
+    resolve_search(it, search.origin, false);
     return;
   }
   for (std::uint32_t i = 0; i < cfg_.num_mss; ++i) {
@@ -977,6 +921,14 @@ void Network::broadcast_round(std::uint64_t token) {
                       msg::SearchQuery{search.target, search.origin, token, search.round});
     send_wired(search.origin, dest, std::move(env));
   }
+}
+
+void Network::resolve_search(BroadcastSearches::iterator it, MssId at,
+                             bool disconnected) {
+  auto cb = std::move(it->second.cb);
+  sl().search_rounds.record(it->second.round);
+  broadcast_.erase(it);
+  cb(at, disconnected);
 }
 
 void Network::handle_search_query(MssId at, const msg::SearchQuery& query) {
@@ -1004,11 +956,7 @@ void Network::handle_search_reply(const msg::SearchReply& reply) {
   if (!reply.here && reply.round != search.round) return;
   ++search.replies;
   if (reply.here) {
-    auto cb = std::move(search.cb);
-    const MssId at = reply.from;
-    sl().search_rounds.record(search.round);
-    broadcast_.erase(it);
-    cb(at, false);
+    resolve_search(it, reply.from, false);
     return;
   }
   if (reply.disconnected) {
@@ -1017,11 +965,7 @@ void Network::handle_search_reply(const msg::SearchReply& reply) {
   }
   if (search.replies >= cfg_.num_mss - 1) {
     if (search.saw_disconnected) {
-      auto cb = std::move(search.cb);
-      const MssId at = search.disconnected_at;
-      sl().search_rounds.record(search.round);
-      broadcast_.erase(it);
-      cb(at, true);
+      resolve_search(it, search.disconnected_at, true);
       return;
     }
     // Nobody has it: target is in transit. Retry after a jittered pause
@@ -1038,29 +982,12 @@ void Network::handle_search_reply(const msg::SearchReply& reply) {
 }
 
 void Network::on_mh_rejoined(MhId mh_id, MssId at) {
-  // Flush searches that were waiting for this MH to land.
-  if (auto it = pending_locates_.find(mh_id); it != pending_locates_.end()) {
-    auto waiting = std::move(it->second);
-    pending_locates_.erase(it);
-    for (auto& pending : waiting) pending.cb(at, false);
-  }
-  // Deliver messages parked while it was disconnected.
-  if (auto it = parked_.find(mh_id); it != parked_.end()) {
-    auto queue = std::move(it->second);
-    parked_.erase(it);
-    for (auto& parked : queue) {
-      Envelope env = std::move(parked.env);
-      send_wireless_downlink(at, std::move(env), mh_id,
-                             [this, at, mh_id](const Envelope& failed) {
-                               ++sl().stats.delivery_retries;
-                               sl().delivery_retry_depth.record(1);
-                               const auto backoff = cfg_.latency.wireless_max + 1;
-                               sl().sched.schedule(backoff, [this, at, env = failed, mh_id]() {
-                                 send_to_mh(at, env, mh_id, SendPolicy::kEventualDelivery);
-                               });
-                             });
-    }
-  }
+  const auto it = awaiting_join_.find(mh_id);
+  if (it == awaiting_join_.end()) return;
+  // Work that waits again (the MH moved on at once) joins a fresh queue.
+  auto waiting = std::move(it->second);
+  awaiting_join_.erase(it);
+  for (auto& resume : waiting) resume(at);
 }
 
 }  // namespace mobidist::net

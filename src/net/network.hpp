@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "cost/cost_model.hpp"
@@ -359,19 +360,27 @@ class Network {
   /// Every slice's event stream, in slice order.
   [[nodiscard]] std::vector<const obs::EventStream*> streams() const;
 
-  struct PendingLocate {
-    MssId from;
-    LocateCallback cb;
-  };
   struct BroadcastSearch {
     MssId origin;
     MhId target;
     LocateCallback cb;
     std::uint32_t replies = 0;
     std::uint64_t round = 0;
-    bool found = false;
     bool saw_disconnected = false;
     MssId disconnected_at = kInvalidMss;
+  };
+  using BroadcastSearches = std::map<std::uint64_t, BroadcastSearch>;
+  /// Work waiting for a MH's next join; runs with the cell it joined.
+  using JoinCallback = std::function<void(MssId)>;
+
+  /// What a wired arrival cites as its cause: the send's own id when the
+  /// arrival runs on the sender's stream (the legacy engine, or a
+  /// self-send); otherwise the cross-stream ref of the send plus the
+  /// sender's Lamport clock, which the receiving stream cannot look up
+  /// (see obs/merge.hpp).
+  struct WiredCause {
+    obs::EventId id = 0;
+    std::uint64_t clock = 0;  ///< 0: `id` is local to the arrival's stream
   };
 
   /// One wireless channel's state. `fifo_clock` clamps arrivals (never
@@ -532,6 +541,12 @@ class Network {
   /// histogram sees how deep each delivery's chase went.
   void send_to_mh_attempt(MssId from, Envelope env, MhId to, SendPolicy policy,
                           std::uint32_t attempt);
+  /// The last wireless hop of a delivery, from the cell `at` where the
+  /// MH was found. On a miss (the MH left first) count the retry, record
+  /// chase depth attempt + 1, back off, and search again from `at` one
+  /// attempt deeper under `cause` — the paper's footnote 1.
+  void final_hop(MssId at, Envelope env, MhId to, SendPolicy policy,
+                 std::uint32_t attempt, obs::EventId cause);
 
   void deliver_wired(MssId to, Envelope env);
 
@@ -542,16 +557,13 @@ class Network {
   /// queue for (from,to).
   void enqueue_wired(MssId from, MssId to, Envelope env);
   /// Transmit callback handed to the FormationLayer: charge the packet,
-  /// sample one latency for the whole packet and schedule its arrival
-  /// (via the window mailbox when sharded).
+  /// sample one latency for the whole packet, give every item the cause
+  /// its recv cites, and land the packet.
   void transmit_packet(FormationLayer::Packet packet);
   /// Packet arrival: emit kPacketFlush, then deliver the coalesced
-  /// messages in send order. In the sharded engine `packet_id` and every
-  /// item's send_id arrive as cross-stream refs, with the senders'
-  /// Lamport clocks carried alongside.
-  void arrive_packet(FormationLayer::Packet packet, obs::EventId packet_id,
-                     std::uint64_t channel, std::uint64_t packet_clock = 0,
-                     std::vector<std::uint64_t> item_clocks = {});
+  /// messages in send order, each citing its own send.
+  void arrive_packet(FormationLayer::Packet packet, WiredCause cause,
+                     std::uint64_t channel);
 
   // --- reliable wireless hop (ack/retransmit + dedup) -----------------------
   //
@@ -614,36 +626,35 @@ class Network {
   /// from the sender's lane, the fault plane's spike, and the channel's
   /// FIFO clamp. Returns the arrival instant.
   [[nodiscard]] sim::SimTime wired_transit(MssId from, MssId to);
-  /// Schedule `fn` on the calling slice as the arrival of a wired message
-  /// from -> to at `at`. A crashed or partitioned-off destination holds
-  /// it at its interface: `fn` is re-offered at the release instant, and
-  /// runs only at actual delivery. Cross-MSS hops on the sharded engine,
-  /// which has no fault plane, ride the window mailbox instead.
+  /// The kSend of one wired message from -> to, tagged `detail`.
+  obs::EventId wired_send(MssId from, MssId to, std::uint64_t channel, ProtocolId proto,
+                          std::string_view detail = {});
+  /// The cause the arrival of wired send `send_id` from -> to cites.
+  [[nodiscard]] WiredCause wired_cause(MssId from, MssId to, obs::EventId send_id) const;
+  /// Make `fn` the arrival of a wired message from -> to at `at`. On the
+  /// sharded engine a cross-MSS hop posts it to the window mailbox.
+  /// Everything else is scheduled on the calling slice, where a crashed
+  /// or partitioned-off destination holds it at its interface: `fn` is
+  /// re-offered at the release instant, and runs only at actual delivery.
   template <typename Fn>
   void land_wired(MssId from, MssId to, sim::SimTime at, Fn fn);
-  /// Wired arrival: emit the recv and dispatch. `send_clock` carries the
-  /// sender's Lamport clock when `send_id` is a cross-stream ref (sharded
-  /// engine).
-  void arrive_wired(MssId from, MssId to, obs::EventId send_id, std::uint64_t channel,
-                    Envelope env, std::uint64_t send_clock = 0);
-  /// Arrival of the send_to_mh forward leg at the located MSS `at`: emit
-  /// the recv, then run `deliver` (the final downlink) under its cause.
+  /// Wired arrival: emit the recv tagged `detail`, then run `handle`
+  /// (the dispatch, or the forward leg's final hop) under its cause.
   template <typename Fn>
-  void arrive_forward(MssId from, MssId at, obs::EventId send_id, std::uint64_t channel,
-                      ProtocolId proto, Fn& deliver);
+  void arrive_wired(MssId from, MssId to, WiredCause cause, std::uint64_t channel,
+                    ProtocolId proto, std::string_view detail, Fn&& handle);
 
   void begin_crash(const fault::MssCrash& crash);
 
-  void oracle_locate(MssId from, MhId target, LocateCallback cb);
-  void broadcast_locate(MssId from, MhId target, LocateCallback cb);
-  /// Resolve a locate `delay` from now by the target's state: connected
-  /// and disconnected MHs answer at once, an in-transit one parks the
-  /// callback until its next join.
-  void settle_locate(sim::Duration delay, MssId from, MhId target, LocateCallback cb);
   void broadcast_round(std::uint64_t token);
+  /// Emit round `round` of a search from `origin` for `target`.
+  void search_round(MssId origin, MhId target, std::uint64_t round);
+  /// Answer the broadcast search `it` with (at, disconnected): record its
+  /// rounds and forget it before its callback runs.
+  void resolve_search(BroadcastSearches::iterator it, MssId at, bool disconnected);
 
-  /// Join bookkeeping shared by Mss::handle_join: flush searches pending
-  /// on this MH and deliver messages parked while it was disconnected.
+  /// Join bookkeeping shared by Mss::handle_join: run the work waiting
+  /// for this MH, oldest first.
   void on_mh_rejoined(MhId mh, MssId at);
 
   NetConfig cfg_;
@@ -670,14 +681,14 @@ class Network {
   std::vector<std::unique_ptr<Mss>> mss_;
   std::vector<std::unique_ptr<MobileHost>> mh_;
 
-  std::map<MhId, std::vector<PendingLocate>> pending_locates_;
-  /// Messages awaiting a disconnected MH's reconnect (eventual-delivery
-  /// policy). Keyed by MH; delivered via its new MSS on rejoin.
-  struct Parked {
-    Envelope env;
-  };
-  std::map<MhId, std::vector<Parked>> parked_;
-  std::map<std::uint64_t, BroadcastSearch> broadcast_;
+  /// Work waiting for a MH's next join, oldest first: searches that
+  /// found it in transit, and eventual-delivery messages that found it
+  /// disconnected. Searches wait only where they read the MH's state
+  /// directly (oracle, one-MSS broadcast), and there a message waits
+  /// only while the MH is disconnected; between two joins it is in transit or
+  /// disconnected, never both, so one MH's queue never mixes the kinds.
+  std::map<MhId, std::vector<JoinCallback>> awaiting_join_;
+  BroadcastSearches broadcast_;
   std::uint64_t next_search_token_ = 1;
   bool started_ = false;
 

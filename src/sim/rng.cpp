@@ -6,14 +6,6 @@
 namespace mobidist::sim {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
@@ -21,8 +13,11 @@ std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t sm = seed;
-  for (auto& word : s_) word = splitmix64(sm);
+  // The state is the first four outputs of a splitmix64 stream.
+  for (auto& word : s_) {
+    word = splitmix64(seed);
+    seed += kSplitmixGamma;
+  }
 }
 
 std::uint64_t Rng::next() noexcept {

@@ -6,6 +6,21 @@
 
 namespace mobidist::sim {
 
+/// splitmix64's increment: the golden ratio as a 64-bit fraction.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// The splitmix64 mixer (Steele, Lea & Flood): step `x` by
+/// kSplitmixGamma and finalize it, so output i of a splitmix64 stream
+/// seeded with s is splitmix64(s + i * kSplitmixGamma). Rng seeding, the
+/// mobility models' per-host hashes and exp::derive_seed all mix
+/// through this one function.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  std::uint64_t z = x + kSplitmixGamma;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic xoshiro256** PRNG (Blackman & Vigna).
 ///
 /// Used instead of std::mt19937 so that simulation results are
@@ -13,7 +28,7 @@ namespace mobidist::sim {
 /// through splitmix64, so any 64-bit seed (including 0) is safe.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  explicit Rng(std::uint64_t seed = kSplitmixGamma) noexcept;
 
   /// Uniform 64-bit value.
   std::uint64_t next() noexcept;

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +80,31 @@ TEST(ExpScenario, JsonRoundTripIsStable) {
   const auto text = exp::to_json(spec);
   const auto reparsed = exp::parse_scenario(text);
   EXPECT_EQ(exp::to_json(reparsed), text);
+}
+
+TEST(ExpScenario, MobilityBlockOfADisabledModelRoundTrips) {
+  // mobility_group.json leaves "enabled" out: its model does not move
+  // every host in the background, but it still moves the group's members.
+  std::ifstream in(std::string(MOBIDIST_SCENARIO_DIR) + "/mobility_group.json");
+  ASSERT_TRUE(in);
+  std::stringstream file;
+  file << in.rdbuf();
+  const auto spec = exp::parse_scenario(file.str());
+  ASSERT_FALSE(spec.mobility);
+  ASSERT_NE(spec.mob.pattern, mobility::MobilityConfig{}.pattern);
+  const auto text = exp::to_json(spec);
+  EXPECT_NE(text.find("\"mobility\":{\"enabled\":false,"), std::string::npos) << text;
+  const auto reparsed = exp::parse_scenario(text);
+  EXPECT_EQ(exp::to_json(reparsed), text);
+  EXPECT_FALSE(reparsed.mobility);
+  EXPECT_EQ(reparsed.mob.pattern, spec.mob.pattern);
+  EXPECT_EQ(reparsed.mob.regions, spec.mob.regions);
+  EXPECT_EQ(reparsed.mob.max_moves_per_host, spec.mob.max_moves_per_host);
+  EXPECT_EQ(reparsed.mob.phase_period, spec.mob.phase_period);
+  EXPECT_DOUBLE_EQ(reparsed.mob.mean_pause, spec.mob.mean_pause);
+  EXPECT_DOUBLE_EQ(reparsed.mob.mean_transit, spec.mob.mean_transit);
+  // A disabled model left at its defaults says nothing: no block.
+  EXPECT_EQ(exp::to_json(small_mutex_spec()).find("\"mobility\""), std::string::npos);
 }
 
 TEST(ExpScenario, EveryFaultFieldRoundTrips) {

@@ -433,6 +433,45 @@ TEST(Disconnect, EventualPolicyParksAndDeliversOnReconnect) {
   EXPECT_EQ(net.current_mss_of(mh_id(1)), mss_id(2));
 }
 
+TEST(Disconnect, ParkedRedeliveryMissChasesOneAttemptDeeperUnderTheRejoinCause) {
+  Network net(small_config(3, 6));
+  Harness h(net);
+  net.start();
+  auto& host = net.mh(mh_id(1));
+  host.disconnect();
+  net.sched().schedule(20,
+                       [&] { h.mss[0]->do_send_to_mh(mh_id(1), std::string("stored")); });
+  // The reconnect join lands at mss:2 at t=112 and the parked message's
+  // downlink would land at 114: leave first. The chase finds the host in
+  // transit and resumes at its join at mss:0 (t=135), whose forward leg
+  // and downlink would land at 142: leave again. The second chase lands.
+  net.sched().schedule(100, [&] { host.reconnect_at(mss_id(2), 10); });
+  net.sched().schedule(113, [&] { host.move_to(mss_id(0), 20); });
+  net.sched().schedule(138, [&] { host.move_to(mss_id(1), 20); });
+  net.run();
+
+  ASSERT_EQ(h.mh[1]->received.size(), 1u);
+  EXPECT_EQ(*h.mh[1]->received[0].env.body.get<std::string>(), "stored");
+  EXPECT_EQ(net.stats().queued_for_reconnect, 1u);
+  EXPECT_EQ(net.stats().delivery_retries, 2u);
+  // The redelivery is attempt 0 of its chase, so the miss after it is
+  // the chase's second.
+  const auto& depth = net.metrics().histograms().at("net.delivery_retry_depth");
+  EXPECT_EQ(depth.count(), 2u);
+  EXPECT_EQ(depth.max(), 2u);
+  // Every search after the first runs on the causal chain of the rejoin
+  // that replayed the message.
+  std::vector<obs::EventId> search_causes;
+  for (const auto& ev : net.events().snapshot()) {
+    if (ev.kind == obs::EventKind::kSearchRound) search_causes.push_back(ev.cause);
+  }
+  ASSERT_EQ(search_causes.size(), 3u);
+  for (std::size_t i = 1; i < search_causes.size(); ++i) {
+    EXPECT_NE(search_causes[i], 0u) << "search round " << i;
+  }
+  ExpectCleanEventStream(net);
+}
+
 TEST(Disconnect, ReconnectWithPrevClearsFlagViaHandoff) {
   Network net(small_config(3, 6));
   Harness h(net);

@@ -6,6 +6,8 @@
 # holds host timing and the git sha — to be byte-identical to the
 # committed bench/baselines/BENCH_<name>.json. E8's BENCH_scale.json is
 # not compared here: its shard-scaling gate is a host-time measurement.
+# The first bench also runs with MOBIDIST_JOBS set: 2 must give the same
+# body, -1 and "two" must be rejected.
 #
 # Regenerating a baseline (only after an intentional behavior change):
 #   MOBIDIST_BENCH_DIR=bench/baselines/ build/bench/bench_e9_formation
@@ -25,20 +27,19 @@ trap 'rm -rf "$tmp"' EXIT
 body() { sed 's/,"provenance":.*$//' "$1"; }
 
 status=0
-for bin in "$@"; do
-  if [ ! -x "$bin" ]; then
-    echo "run_bench_baselines: missing binary $bin (build first)" >&2
-    exit 1
-  fi
-  out="$tmp/$(basename "$bin")"
+# run_bench <binary> <out-dir> [VAR=value...]: one bench run, artifact and
+# stdout in <out-dir>; its exit status is the bench's.
+run_bench() {
+  local bin=$1 out=$2
+  shift 2
   mkdir -p "$out"
-  if ! (cd "$out" && MOBIDIST_BENCH_DIR="$out/" MOBIDIST_TRACE_DIR="" "$bin" > "$out/stdout.txt" 2>&1); then
-    echo "run_bench_baselines: $(basename "$bin") exited non-zero:" >&2
-    tail -5 "$out/stdout.txt" >&2
-    status=1
-    continue
-  fi
-  found=0
+  (cd "$out" && env MOBIDIST_BENCH_DIR="$out/" MOBIDIST_TRACE_DIR="" "$@" "$bin" \
+    > "$out/stdout.txt" 2>&1)
+}
+# check_bodies <binary> <out-dir>: every artifact in <out-dir> must match
+# its committed baseline; sets `status` to 1 otherwise.
+check_bodies() {
+  local bin=$1 out=$2 found=0 artifact name baseline
   for artifact in "$out"/BENCH_*.json; do
     [ -f "$artifact" ] || continue
     found=1
@@ -64,10 +65,49 @@ for bin in "$@"; do
     echo "run_bench_baselines: $(basename "$bin") wrote no BENCH_*.json" >&2
     status=1
   fi
+}
+
+for bin in "$@"; do
+  if [ ! -x "$bin" ]; then
+    echo "run_bench_baselines: missing binary $bin (build first)" >&2
+    exit 1
+  fi
+  out="$tmp/$(basename "$bin")"
+  if ! run_bench "$bin" "$out"; then
+    echo "run_bench_baselines: $(basename "$bin") exited non-zero:" >&2
+    tail -5 "$out/stdout.txt" >&2
+    status=1
+    continue
+  fi
+  check_bodies "$bin" "$out"
 done
+
+# MOBIDIST_JOBS is read like mobidist_sweep's --jobs: a whole number in
+# [0, 1024]. A bad value must stop the bench with an error naming the
+# variable and write no artifact; a good one changes no body.
+first=$1
+for value in -1 two; do
+  out="$tmp/jobs_$value"
+  if run_bench "$first" "$out" MOBIDIST_JOBS="$value" ||
+     ! grep -qF MOBIDIST_JOBS "$out/stdout.txt" ||
+     compgen -G "$out/BENCH_*.json" > /dev/null; then
+    echo "run_bench_baselines: MOBIDIST_JOBS=$value was not rejected naming the variable:" >&2
+    tail -5 "$out/stdout.txt" >&2
+    status=1
+  fi
+done
+out="$tmp/jobs_2"
+if ! run_bench "$first" "$out" MOBIDIST_JOBS=2; then
+  echo "run_bench_baselines: MOBIDIST_JOBS=2 exited non-zero:" >&2
+  tail -5 "$out/stdout.txt" >&2
+  status=1
+else
+  check_bodies "$first" "$out"
+fi
 if [ "$status" -ne 0 ]; then
-  echo "run_bench_baselines: bench bodies no longer match the committed baselines" >&2
+  echo "run_bench_baselines: a bench failed, or its body no longer matches its baseline" >&2
   exit "$status"
 fi
 
-echo "run_bench_baselines: every bench body byte-identical to its committed baseline"
+echo "run_bench_baselines: every bench body byte-identical to its committed baseline;" \
+  "bad MOBIDIST_JOBS values rejected"

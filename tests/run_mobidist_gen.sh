@@ -82,6 +82,18 @@ for field in '"rto_base":64' '"evacuate_on_crash":false'; do
     exit 1
   fi
 done
+# Switching background mobility off keeps the model that still moves
+# the group's members: its block is written with "enabled":false, not
+# dropped.
+"$gen" --model commuter --mh 200 --out "$tmp/mob_off.json" \
+  --set mobility.enabled=0 > /dev/null 2>&1
+for field in '"enabled":false' '"pattern":"commuter"' '"regions":8' \
+             '"max_moves_per_host":2'; do
+  if ! grep -qF "$field" "$tmp/mob_off.json"; then
+    echo "run_mobidist_gen: --set mobility.enabled=0 lost $field" >&2
+    exit 1
+  fi
+done
 
 # 2 + 3. The 1e5-MH leg: run the generated scenario end to end at two
 # job counts; deterministic artifacts must be byte-identical.

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_flags.hpp"
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "exp/exp.hpp"
 #include "mobility/models.hpp"
@@ -101,9 +101,9 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      const auto u64 = [&] { return tools::uint_flag(arg, next(), kMaxU64); };
+      const auto u64 = [&] { return core::uint_flag(arg, next(), kMaxU64); };
       const auto u32 = [&] {
-        return static_cast<std::uint32_t>(tools::uint_flag(arg, next(), kMaxU32));
+        return static_cast<std::uint32_t>(core::uint_flag(arg, next(), kMaxU32));
       };
       if (arg == "--model") model = next();
       else if (arg == "--name") name = next();

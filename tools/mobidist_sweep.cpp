@@ -30,7 +30,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "cli_flags.hpp"
+#include "core/cli_flags.hpp"
 #include "core/report.hpp"
 #include "exp/exp.hpp"
 
@@ -39,7 +39,6 @@ namespace {
 using namespace mobidist;
 
 /// A worker is an OS thread; more than this is a typo, not a request.
-constexpr std::uint64_t kMaxJobs = 1024;
 /// The scenario file's own range for topology.shards.
 constexpr std::uint64_t kMaxShards = std::numeric_limits<std::uint32_t>::max();
 
@@ -86,13 +85,13 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       const auto count = [&](std::uint64_t max) {
-        return static_cast<unsigned>(tools::uint_flag(arg, next(), max));
+        return static_cast<unsigned>(core::uint_flag(arg, next(), max));
       };
       if (arg == "--scenario") scenario_path = next();
       else if (arg == "--out") out_path = next();
       else if (arg == "--baseline") baseline_path = next();
-      else if (arg == "--tolerance") tolerance = tools::real_flag(arg, next());
-      else if (arg == "--jobs") jobs = count(kMaxJobs);
+      else if (arg == "--tolerance") tolerance = core::real_flag(arg, next());
+      else if (arg == "--jobs") jobs = count(core::kMaxJobs);
       else if (arg == "--shards") shards = count(kMaxShards);
       else if (arg == "--deterministic") deterministic = true;
       else if (arg == "--list-workloads") list_workloads = true;
