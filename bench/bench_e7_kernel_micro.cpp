@@ -46,6 +46,37 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelHeavy);
 
+/// An echo-shaped event: when it fires it schedules its successor 1-7
+/// ticks ahead, the delay drawn from its own LCG state.
+struct NearFutureHop {
+  sim::Scheduler* sched;
+  std::uint32_t state;
+  void operator()() {
+    state = state * 1664525U + 1013904223U;
+    sched->schedule(1 + (state >> 16) % 7, NearFutureHop{sched, state});
+  }
+};
+
+// A warm scheduler at a steady depth of 64 Ki pending events, each
+// rescheduling itself a few ticks ahead: the slots and queue are already
+// grown, so only schedule and fire are timed (BM_SchedulerScheduleRun
+// builds a new scheduler every iteration).
+void BM_SchedulerNearFutureSteady(benchmark::State& state) {
+  constexpr std::uint32_t kPending = 64 * 1024;
+  constexpr int kBatch = 4096;
+  sim::Scheduler sched;
+  for (std::uint32_t i = 0; i < kPending; ++i) {
+    sched.schedule(1 + i % 7, NearFutureHop{&sched, i});
+  }
+  for (std::uint32_t i = 0; i < kPending; ++i) sched.step();  // warm-up
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) sched.step();
+    benchmark::DoNotOptimize(sched.fired());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_SchedulerNearFutureSteady);
+
 void BM_RngNext(benchmark::State& state) {
   sim::Rng rng(1);
   std::uint64_t sum = 0;

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -39,7 +40,12 @@ EventHandle Scheduler::schedule_at(SimTime at, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.scheduled = true;
-  push_entry(Entry{at, next_seq_++, slot});
+  if (at - now_ < kWheel) {
+    append(at % kWheel, slot);
+  } else {
+    heap_.push_back(Entry{at, next_seq_++, slot});
+    sift_up(heap_.size() - 1);
+  }
   ++live_;
   return EventHandle{pack_handle(s.generation, slot)};
 }
@@ -52,13 +58,13 @@ bool Scheduler::cancel(EventHandle h) {
   Slot& s = slots_[slot];
   if (!s.scheduled || s.generation != generation) return false;
   // Destroy the callback now (its captures may hold large payloads); the
-  // heap entry becomes a corpse, dropped when it surfaces or compacted
-  // away when corpses outnumber live events.
+  // entry becomes a corpse, dropped when it surfaces or compacted away
+  // when corpses outnumber live events.
   s.fn.reset();
   s.scheduled = false;
   --live_;
   ++corpses_;
-  if (corpses_ > live_ && corpses_ >= kCompactFloor) compact();
+  maybe_compact();
   return true;
 }
 
@@ -91,11 +97,6 @@ void Scheduler::sift_down(std::size_t i) noexcept {
   heap_[i] = e;
 }
 
-void Scheduler::push_entry(Entry e) {
-  heap_.push_back(e);
-  sift_up(heap_.size() - 1);
-}
-
 Scheduler::Entry Scheduler::pop_entry() noexcept {
   assert(!heap_.empty());
   const Entry top = heap_.front();
@@ -105,16 +106,89 @@ Scheduler::Entry Scheduler::pop_entry() noexcept {
   return top;
 }
 
+void Scheduler::append(std::size_t bucket, std::uint32_t slot) noexcept {
+  slots_[slot].next = kNoSlot;
+  Bucket& b = ring_[bucket];
+  if (b.head == kNoSlot) {
+    b.head = slot;
+    occupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+  } else {
+    slots_[b.tail].next = slot;
+  }
+  b.tail = slot;
+  ++ring_size_;
+}
+
+std::uint32_t Scheduler::unlink_front(std::size_t bucket) noexcept {
+  Bucket& b = ring_[bucket];
+  const std::uint32_t slot = b.head;
+  b.head = slots_[slot].next;
+  if (b.head == kNoSlot) occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
+  --ring_size_;
+  return slot;
+}
+
+std::size_t Scheduler::first_bucket() const noexcept {
+  // Ring entries are due in [now, now + kWheel), so the earliest one is
+  // the first occupied bucket at or after now's, wrapping around once.
+  // Coming back to now's word, its buckets from now's on are known empty.
+  assert(ring_size_ != 0);
+  const std::size_t start = now_ % kWheel;
+  std::size_t w = start / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  while (bits == 0) {
+    w = (w + 1) % occupied_.size();
+    bits = occupied_[w];
+  }
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+void Scheduler::advance_to(SimTime t) {
+  now_ = t;
+  // Heap entries leave in (at, seq) order, so same-instant entries reach
+  // their bucket in seq order, and before any direct insert can.
+  while (!heap_.empty() && heap_.front().at - now_ < kWheel) {
+    const Entry e = pop_entry();
+    if (slots_[e.slot].scheduled) {
+      append(e.at % kWheel, e.slot);
+    } else {
+      release_slot(e.slot);
+      --corpses_;
+    }
+  }
+}
+
 void Scheduler::release_slot(std::uint32_t slot) noexcept {
   Slot& s = slots_[slot];
   ++s.generation;  // stale handles to this slot stop matching
   free_.push_back(slot);
 }
 
+void Scheduler::maybe_compact() {
+  if (corpses_ >= kCompactFloor && corpses_ > live_) compact();
+}
+
 void Scheduler::compact() {
-  // Drop every corpse in one pass, then restore the heap invariant
+  // Drop every corpse in one pass over each level: unlink ring corpses
+  // before their slots are freed, then restore the heap invariant
   // bottom-up. O(queue) — amortized against the cancels that created the
   // corpses, and it keeps queue_depth() <= 2 * pending() + kCompactFloor.
+  for (std::size_t bucket = 0; bucket < kWheel; ++bucket) {
+    Bucket& b = ring_[bucket];
+    std::uint32_t slot = b.head;
+    b = Bucket{};
+    while (slot != kNoSlot) {
+      const std::uint32_t next = slots_[slot].next;
+      --ring_size_;
+      if (slots_[slot].scheduled) {
+        append(bucket, slot);
+      } else {
+        release_slot(slot);
+      }
+      slot = next;
+    }
+    if (b.head == kNoSlot) occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
+  }
   std::size_t kept = 0;
   for (const Entry& e : heap_) {
     if (slots_[e.slot].scheduled) {
@@ -131,47 +205,47 @@ void Scheduler::compact() {
 }
 
 std::optional<SimTime> Scheduler::next_time() {
-  while (!heap_.empty()) {
-    if (slots_[heap_.front().slot].scheduled) return heap_.front().at;
-    release_slot(pop_entry().slot);
-    --corpses_;
-  }
-  return std::nullopt;
-}
-
-bool Scheduler::pop_live(Entry& out) {
-  while (!heap_.empty()) {
-    const Entry e = pop_entry();
-    if (slots_[e.slot].scheduled) {
-      out = e;
-      return true;
+  for (;;) {
+    if (ring_size_ == 0) {
+      while (!heap_.empty() && !slots_[heap_.front().slot].scheduled) {
+        release_slot(pop_entry().slot);
+        --corpses_;
+      }
+      if (heap_.empty()) return std::nullopt;
+      return heap_.front().at;
     }
+    const std::size_t bucket = first_bucket();
+    if (slots_[ring_[bucket].head].scheduled) return now_ + ((bucket - now_) % kWheel);
     // A corpse surfaced: its slot can be recycled now.
-    release_slot(e.slot);
+    release_slot(unlink_front(bucket));
     --corpses_;
   }
-  return false;
 }
 
-bool Scheduler::step() {
-  Entry e;
-  if (!pop_live(e)) return false;
-  Slot& s = slots_[e.slot];
+bool Scheduler::fire_next(SimTime until) {
+  const std::optional<SimTime> at = next_time();
+  if (!at || *at > until) return false;
+  // Advancing first moves an event waiting in the heap into its bucket;
+  // either way it is then the front of that bucket.
+  if (*at != now_) advance_to(*at);
+  const std::uint32_t slot = unlink_front(*at % kWheel);
+  Slot& s = slots_[slot];
   Callback fn = std::move(s.fn);
-  s.fn.reset();
   s.scheduled = false;
-  release_slot(e.slot);
+  release_slot(slot);
   --live_;
-  now_ = e.at;
   ++fired_;
+  maybe_compact();
   fn();
   return true;
 }
 
-std::uint64_t Scheduler::run() {
+bool Scheduler::step() { return fire_next(kTimeNever); }
+
+std::uint64_t Scheduler::run_loop(SimTime until) {
   hit_limit_ = false;
   std::uint64_t n = 0;
-  while (step()) {
+  while (fire_next(until)) {
     ++n;
     if (limit_ != 0 && fired_ >= limit_) {
       hit_limit_ = true;
@@ -181,35 +255,11 @@ std::uint64_t Scheduler::run() {
   return n;
 }
 
+std::uint64_t Scheduler::run() { return run_loop(kTimeNever); }
+
 std::uint64_t Scheduler::run_until(SimTime until) {
-  hit_limit_ = false;
-  std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    // Peek: drop corpses at the front without touching live events past
-    // the horizon (they stay queued untouched).
-    if (!slots_[heap_.front().slot].scheduled) {
-      release_slot(pop_entry().slot);
-      --corpses_;
-      continue;
-    }
-    if (heap_.front().at > until) break;
-    const Entry e = pop_entry();
-    Slot& s = slots_[e.slot];
-    Callback fn = std::move(s.fn);
-    s.fn.reset();
-    s.scheduled = false;
-    release_slot(e.slot);
-    --live_;
-    now_ = e.at;
-    ++fired_;
-    fn();
-    ++n;
-    if (limit_ != 0 && fired_ >= limit_) {
-      hit_limit_ = true;
-      return n;
-    }
-  }
-  if (until > now_) now_ = until;
+  const std::uint64_t n = run_loop(until);
+  if (!hit_limit_ && until > now_) advance_to(until);
   return n;
 }
 

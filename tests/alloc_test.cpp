@@ -6,6 +6,7 @@
 // traffic at steady state, and that checking a full trace costs a few
 // table growths rather than an allocation per event.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -115,6 +116,40 @@ TEST(SchedulerHotPath, CancelDoesNotAllocateAfterWarmup) {
   EXPECT_EQ(count, 0u) << "schedule/cancel churn allocated";
 }
 
+// The same claim across both levels of the queue: each round's delays
+// (0, 255, 256, 10 000) put events in the ring and in the heap, and the
+// half cancelled is the half scheduled last, so the first firing finds
+// corpses outnumbering live events and compacts the ring and the heap.
+// Overflow then migrates into the ring as time advances, and every round
+// starts at a new offset, so buckets wrap around the ring.
+TEST(SchedulerHotPath, RingAndOverflowMixDoesNotAllocateAfterWarmup) {
+  sim::Scheduler sched;
+  constexpr sim::Duration kDelays[] = {0, 255, 256, 10'000};
+  constexpr int kBatch = 256;
+  constexpr int kRounds = 100;
+  std::vector<sim::EventHandle> handles;
+  handles.reserve(kBatch);
+  std::uint64_t fired = 0;
+
+  auto one_round = [&] {
+    handles.clear();
+    for (int i = 0; i < kBatch; ++i) {
+      handles.push_back(sched.schedule(kDelays[i % 4], [&fired] { ++fired; }));
+    }
+    for (int i = kBatch / 2; i < kBatch; ++i) ASSERT_TRUE(sched.cancel(handles[i]));
+    sched.run_until(sched.now() + 10'001);
+  };
+
+  one_round();  // warm-up: grows slots_ / heap_ / free_ to the working set
+  const auto count = allocations_during([&] {
+    for (int round = 0; round < kRounds; ++round) one_round();
+  });
+
+  EXPECT_EQ(count, 0u) << "ring/overflow schedule, cancel and fire allocated";
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kBatch / 2) * (kRounds + 1));
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 // Regression test for the tombstone memory-growth bug: before the 4-ary
 // heap rewrite, cancelled events stayed queued until their firing time,
 // so schedule-then-cancel churn of far-future timers grew the queue
@@ -143,6 +178,30 @@ TEST(SchedulerCancel, FarFutureTombstonesKeepQueueBounded) {
   // little slack for the transient right after a compaction pass.
   EXPECT_LE(max_depth, 2 * kLiveFloor + 128)
       << "cancelled far-future timers accumulated in the queue";
+}
+
+// The twin of the test above with every cancelled event inside the
+// near-future ring: compaction must unlink ring corpses too.
+TEST(SchedulerCancel, NearFutureTombstonesKeepQueueBounded) {
+  sim::Scheduler sched;
+  constexpr int kChurn = 100'000;
+  constexpr std::size_t kLiveFloor = 8;
+
+  for (std::size_t i = 0; i < kLiveFloor; ++i) {
+    sched.schedule(200 + static_cast<sim::Duration>(i), [] {});
+  }
+
+  std::size_t max_depth = 0;
+  for (int i = 0; i < kChurn; ++i) {
+    auto h = sched.schedule(static_cast<sim::Duration>(i % 100), [] {});
+    ASSERT_TRUE(sched.cancel(h));
+    max_depth = std::max(max_depth, sched.queue_depth());
+  }
+
+  EXPECT_EQ(sched.pending(), kLiveFloor);
+  EXPECT_LE(max_depth, 2 * kLiveFloor + 128)
+      << "cancelled near-future events accumulated in the ring";
+  EXPECT_EQ(sched.run(), kLiveFloor);
 }
 
 // Body's small-buffer payloads: wrap + copy + read of anything within

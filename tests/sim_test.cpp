@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -192,6 +194,324 @@ TEST(Scheduler, CancelledEventBetweenLiveOnesDoesNotDisturbOrder) {
   sched.cancel(mid);
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+// The near-future ring must not move a single event: the heap-only
+// scheduler the ring replaced is kept here as the reference, and seeded
+// random mixes must fire the same events in the same order on both.
+namespace scheduler_diff {
+
+/// The heap-only Scheduler as it was before the near-future ring: every
+/// event in one 4-ary heap ordered by (at, seq), lazy cancellation, and
+/// corpse compaction on cancel.
+class HeapScheduler {
+ public:
+  EventHandle schedule_at(SimTime at, SmallFn fn) {
+    if (at < now_) throw std::invalid_argument("HeapScheduler: scheduled in the past");
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    s.fn = std::move(fn);
+    s.scheduled = true;
+    heap_.push_back(Entry{at, next_seq_++, slot});
+    sift_up(heap_.size() - 1);
+    ++live_;
+    return EventHandle{(static_cast<std::uint64_t>(s.generation) << 32) | (slot + 1ULL)};
+  }
+
+  bool cancel(EventHandle h) {
+    if (!h.valid()) return false;
+    const auto slot = static_cast<std::uint32_t>((h.id & 0xffffffffU) - 1);
+    if (slot >= slots_.size()) return false;
+    Slot& s = slots_[slot];
+    const auto generation = static_cast<std::uint32_t>(h.id >> 32);
+    if (!s.scheduled || s.generation != generation) return false;
+    s.fn.reset();
+    s.scheduled = false;
+    --live_;
+    ++corpses_;
+    if (corpses_ > live_ && corpses_ >= 64) compact();
+    return true;
+  }
+
+  std::optional<SimTime> next_time() {
+    while (!heap_.empty()) {
+      if (slots_[heap_.front().slot].scheduled) return heap_.front().at;
+      release_slot(pop_entry().slot);
+      --corpses_;
+    }
+    return std::nullopt;
+  }
+
+  bool step() {
+    while (!heap_.empty()) {
+      const Entry e = pop_entry();
+      Slot& s = slots_[e.slot];
+      if (!s.scheduled) {
+        release_slot(e.slot);
+        --corpses_;
+        continue;
+      }
+      SmallFn fn = std::move(s.fn);
+      s.scheduled = false;
+      release_slot(e.slot);
+      --live_;
+      now_ = e.at;
+      ++fired_;
+      fn();
+      return true;
+    }
+    return false;
+  }
+
+  std::uint64_t run() {
+    std::uint64_t n = 0;
+    while (step()) ++n;
+    return n;
+  }
+
+  std::uint64_t run_until(SimTime until) {
+    std::uint64_t n = 0;
+    for (auto next = next_time(); next && *next <= until; next = next_time()) {
+      step();
+      ++n;
+    }
+    if (until > now_) now_ = until;
+    return n;
+  }
+
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return live_; }
+  [[nodiscard]] std::uint64_t fired() const { return fired_; }
+
+ private:
+  struct Slot {
+    SmallFn fn;
+    std::uint32_t generation = 0;
+    bool scheduled = false;
+  };
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+
+  void sift_up(std::size_t i) {
+    const Entry e = heap_[i];
+    while (i != 0 && before(e, heap_[(i - 1) / 4])) {
+      heap_[i] = heap_[(i - 1) / 4];
+      i = (i - 1) / 4;
+    }
+    heap_[i] = e;
+  }
+
+  void sift_down(std::size_t i) {
+    const Entry e = heap_[i];
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= heap_.size()) break;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < std::min(first + 4, heap_.size()); ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], e)) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = e;
+  }
+
+  Entry pop_entry() {
+    const Entry top = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+    return top;
+  }
+
+  void release_slot(std::uint32_t slot) {
+    ++slots_[slot].generation;
+    free_.push_back(slot);
+  }
+
+  void compact() {
+    std::size_t kept = 0;
+    for (const Entry& e : heap_) {
+      if (slots_[e.slot].scheduled) {
+        heap_[kept++] = e;
+      } else {
+        release_slot(e.slot);
+      }
+    }
+    heap_.resize(kept);
+    corpses_ = 0;
+    if (kept > 1) {
+      for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i);
+    }
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
+  std::size_t corpses_ = 0;
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t fired_ = 0;
+};
+
+/// A delay drawn from the ring's edges (0, 1, 255, 256, 257), the near
+/// future, the middle distance, or the far future.
+Duration draw_delay(Rng& rng) {
+  static constexpr Duration kEdges[] = {0, 1, 255, 256, 257};
+  switch (rng.below(4)) {
+    case 0: return kEdges[rng.below(5)];
+    case 1: return rng.below(32);
+    case 2: return rng.below(600);
+    default: return 1000 + rng.below(100'000);
+  }
+}
+
+/// One scheduler under test plus what it did: the ids it fired, in
+/// order, and the results of cancels made from inside callbacks. An
+/// event's own id seeds what its callback does, so both sides make the
+/// same choices for as long as they fire the same events.
+template <typename Sched>
+struct Side {
+  explicit Side(std::uint64_t seed) : seed(seed) {}
+
+  void add(SimTime at) {
+    const std::uint64_t id = handles.size();
+    handles.push_back(sched.schedule_at(at, [this, id] { on_fire(id); }));
+  }
+
+  bool cancel(std::uint64_t id) { return sched.cancel(handles[id]); }
+
+  void on_fire(std::uint64_t id) {
+    fired_ids.push_back(id);
+    Rng rng(splitmix64(seed ^ (id * kSplitmixGamma)));
+    const std::uint64_t roll = rng.below(100);
+    if (roll < 35) {
+      add(sched.now() + draw_delay(rng));
+    } else if (roll < 45) {
+      inner_cancels.push_back(cancel(rng.below(handles.size())));
+    }
+  }
+
+  std::uint64_t seed;
+  Sched sched;
+  std::vector<EventHandle> handles;  // by event id
+  std::vector<std::uint64_t> fired_ids;
+  std::vector<bool> inner_cancels;
+};
+
+/// Drives both schedulers through the same `ops` random operations and
+/// stops at the first difference.
+void run_differential(std::uint64_t seed, int ops) {
+  Side<Scheduler> ring(seed);
+  Side<HeapScheduler> heap(seed);
+  Rng rng(seed);
+  std::size_t fires_checked = 0;
+  std::size_t cancels_checked = 0;
+  for (int op = 0; op < ops; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const std::uint64_t kind = rng.below(100);
+    if (kind < 30) {  // one event
+      const Duration delay = draw_delay(rng);
+      ring.add(ring.sched.now() + delay);
+      heap.add(heap.sched.now() + delay);
+    } else if (kind < 35) {  // a burst of near-future events
+      for (std::uint64_t i = rng.below(200); i-- > 0;) {
+        const Duration delay = rng.below(8) == 0 ? draw_delay(rng) : rng.below(8);
+        ring.add(ring.sched.now() + delay);
+        heap.add(heap.sched.now() + delay);
+      }
+    } else if (kind < 45 && !ring.handles.empty()) {  // one cancel
+      const std::uint64_t id = rng.below(ring.handles.size());
+      ASSERT_EQ(ring.cancel(id), heap.cancel(id)) << "cancel of event " << id;
+    } else if (kind < 48) {  // a cancel storm: compacts the ring and the heap
+      const std::uint64_t end = ring.handles.size();
+      for (std::uint64_t id = end - std::min<std::uint64_t>(end, 600); id < end; ++id) {
+        if (rng.below(5) != 0) {
+          ASSERT_EQ(ring.cancel(id), heap.cancel(id)) << "cancel of event " << id;
+        }
+      }
+    } else if (kind < 68) {
+      ASSERT_EQ(ring.sched.step(), heap.sched.step());
+    } else if (kind < 83) {
+      const SimTime until = ring.sched.now() + draw_delay(rng);
+      ASSERT_EQ(ring.sched.run_until(until), heap.sched.run_until(until));
+    } else if (kind < 95) {
+      // ShardGroup's window: run to just before the horizon, then inject
+      // mail at or beyond it.
+      const auto next = ring.sched.next_time();
+      ASSERT_EQ(next, heap.sched.next_time());
+      if (!next) continue;
+      const SimTime horizon = *next + 1 + rng.below(300);
+      ASSERT_EQ(ring.sched.run_until(horizon - 1), heap.sched.run_until(horizon - 1));
+      for (std::uint64_t i = rng.below(6); i-- > 0;) {
+        const SimTime at = horizon + (rng.below(2) == 0 ? rng.below(4) : draw_delay(rng));
+        ring.add(at);
+        heap.add(at);
+      }
+    } else if (kind < 99) {
+      ASSERT_EQ(ring.sched.next_time(), heap.sched.next_time());
+    } else {
+      ASSERT_EQ(ring.sched.run(), heap.sched.run());
+    }
+    ASSERT_EQ(ring.fired_ids.size(), heap.fired_ids.size());
+    for (; fires_checked < ring.fired_ids.size(); ++fires_checked) {
+      ASSERT_EQ(ring.fired_ids[fires_checked], heap.fired_ids[fires_checked])
+          << "fire #" << fires_checked;
+    }
+    ASSERT_EQ(ring.inner_cancels.size(), heap.inner_cancels.size());
+    for (; cancels_checked < ring.inner_cancels.size(); ++cancels_checked) {
+      ASSERT_EQ(ring.inner_cancels[cancels_checked], heap.inner_cancels[cancels_checked])
+          << "callback cancel #" << cancels_checked;
+    }
+    ASSERT_EQ(ring.sched.now(), heap.sched.now());
+    ASSERT_EQ(ring.sched.pending(), heap.sched.pending());
+    ASSERT_EQ(ring.sched.fired(), heap.sched.fired());
+    ASSERT_EQ(ring.sched.next_time(), heap.sched.next_time());
+    ASSERT_LE(ring.sched.queue_depth(), 2 * ring.sched.pending() + 64);
+  }
+  ASSERT_EQ(ring.sched.run(), heap.sched.run());
+  ASSERT_EQ(ring.fired_ids, heap.fired_ids);
+  ASSERT_EQ(ring.sched.now(), heap.sched.now());
+}
+
+}  // namespace scheduler_diff
+
+TEST(SchedulerDifferential, RingFiresExactlyWhatTheHeapOnlySchedulerFires) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    scheduler_diff::run_differential(seed, 1500);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(SchedulerDifferential, OverflowEventsFireBeforeLaterSameInstantInserts) {
+  // Scheduled 300 ticks ahead, `first` waits in the heap; run_until's
+  // final advance brings its instant inside the ring before `second` is
+  // appended to the same bucket.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule_at(300, [&] { order.push_back(1); });
+  sched.run_until(100);
+  sched.schedule_at(300, [&] { order.push_back(2); });
+  sched.schedule_at(299, [&] { order.push_back(0); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 // --------------------------------------------------------------------------
