@@ -133,7 +133,8 @@ class Scheduler {
     bool scheduled = false;        // false after fire or cancel
   };
   // The ring link lives in what would otherwise be tail padding, so the
-  // ring costs no slab memory.
+  // ring costs no slab memory: 288 B per slot with SmallFn's 256-byte
+  // buffer, as without the link.
   static_assert(sizeof(Slot) == sizeof(Callback) + 16);
 
   /// 24-byte heap entry; the callback stays in its slot so sift moves
