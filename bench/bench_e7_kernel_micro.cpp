@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <iostream>
 
 #include "bench_support.hpp"
@@ -18,11 +19,14 @@ using net::MssId;
 using net::NetConfig;
 using net::Network;
 
+// Each iteration schedules `count` events into a warm, drained
+// scheduler and runs them: the slot blocks exist after the first
+// iteration, so the figure times the scheduler, not the allocator.
 void BM_SchedulerScheduleRun(benchmark::State& state) {
   const auto count = static_cast<std::uint64_t>(state.range(0));
+  sim::Scheduler sched;
+  std::uint64_t sum = 0;
   for (auto _ : state) {
-    sim::Scheduler sched;
-    std::uint64_t sum = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       sched.schedule(i % 97, [&sum, i] { sum += i; });
     }
@@ -33,11 +37,14 @@ void BM_SchedulerScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleRun)->Arg(1024)->Arg(16384);
 
+// Schedule 4 096 events, cancel every other one, run the rest; the
+// scheduler and the handle vector are warm after the first iteration.
 void BM_SchedulerCancelHeavy(benchmark::State& state) {
+  sim::Scheduler sched;
+  std::vector<sim::EventHandle> handles;
+  handles.reserve(4096);
   for (auto _ : state) {
-    sim::Scheduler sched;
-    std::vector<sim::EventHandle> handles;
-    handles.reserve(4096);
+    handles.clear();
     for (int i = 0; i < 4096; ++i) handles.push_back(sched.schedule(10, [] {}));
     for (std::size_t i = 0; i < handles.size(); i += 2) sched.cancel(handles[i]);
     sched.run();
@@ -47,26 +54,31 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_SchedulerCancelHeavy);
 
 /// An echo-shaped event: when it fires it schedules its successor 1-7
-/// ticks ahead, the delay drawn from its own LCG state.
+/// ticks ahead, the delay drawn from its own LCG state. `Pad` bytes of
+/// payload ride along, as an Envelope does in a frame landing.
+template <std::size_t Pad>
 struct NearFutureHop {
   sim::Scheduler* sched;
   std::uint32_t state;
+  std::array<unsigned char, Pad> payload{};
   void operator()() {
     state = state * 1664525U + 1013904223U;
-    sched->schedule(1 + (state >> 16) % 7, NearFutureHop{sched, state});
+    sched->schedule(1 + (state >> 16) % 7, NearFutureHop{sched, state, payload});
   }
 };
 
-// A warm scheduler at a steady depth of 64 Ki pending events, each
-// rescheduling itself a few ticks ahead: the slots and queue are already
-// grown, so only schedule and fire are timed (BM_SchedulerScheduleRun
-// builds a new scheduler every iteration).
-void BM_SchedulerNearFutureSteady(benchmark::State& state) {
+static_assert(sizeof(NearFutureHop<4>) == 16 && sizeof(NearFutureHop<184>) == 200);
+
+/// A warm scheduler at a steady depth of 64 Ki pending events, each
+/// rescheduling itself a few ticks ahead: the slots and queue are already
+/// grown, so only schedule and fire are timed.
+template <std::size_t Pad>
+void near_future_steady(benchmark::State& state) {
   constexpr std::uint32_t kPending = 64 * 1024;
   constexpr int kBatch = 4096;
   sim::Scheduler sched;
   for (std::uint32_t i = 0; i < kPending; ++i) {
-    sched.schedule(1 + i % 7, NearFutureHop{&sched, i});
+    sched.schedule(1 + i % 7, NearFutureHop<Pad>{&sched, i});
   }
   for (std::uint32_t i = 0; i < kPending; ++i) sched.step();  // warm-up
   for (auto _ : state) {
@@ -75,7 +87,17 @@ void BM_SchedulerNearFutureSteady(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
+
+// A 16-byte hop: a small slot.
+void BM_SchedulerNearFutureSteady(benchmark::State& state) { near_future_steady<4>(state); }
 BENCHMARK(BM_SchedulerNearFutureSteady);
+
+// The same with a 200-byte capture, echo's frame landing size: a wide
+// slot.
+void BM_SchedulerNearFutureSteadyWide(benchmark::State& state) {
+  near_future_steady<184>(state);
+}
+BENCHMARK(BM_SchedulerNearFutureSteadyWide);
 
 void BM_RngNext(benchmark::State& state) {
   sim::Rng rng(1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace mobidist::mobility {
 
@@ -64,7 +65,10 @@ void MobilityDriver::schedule_next(MhId host) {
   const auto pause =
       static_cast<sim::Duration>(net_.rng().exponential(cfg_.mean_pause)) + 1;
   if (cfg_.stop_at != sim::kTimeNever && net_.sched().now() + pause > cfg_.stop_at) return;
-  net_.sched().schedule(pause, [this, host] { depart(host); });
+  auto departure = [this, host] { depart(host); };
+  static_assert(sim::Scheduler::takes_small_slot<decltype(departure)>(),
+                "a mobility departure timer must fit the scheduler's small slot");
+  net_.sched().schedule(pause, std::move(departure));
 }
 
 void MobilityDriver::depart(MhId host) {
@@ -84,12 +88,15 @@ void MobilityDriver::depart(MhId host) {
         static_cast<sim::Duration>(net_.rng().exponential(cfg_.mean_disconnect)) + 1;
     // Reconnect either where we left or in a fresh cell.
     const MssId back = net_.rng().chance(0.5) ? came_from : pick_target(host, came_from);
-    net_.sched().schedule(away, [this, host, back] {
+    auto reconnect = [this, host, back] {
       if (net_.mh(host).state() == net::MhState::kDisconnected) {
         net_.mh(host).reconnect_at(back, 1);
       }
       schedule_next(host);
-    });
+    };
+    static_assert(sim::Scheduler::takes_small_slot<decltype(reconnect)>(),
+                  "a mobility reconnect timer must fit the scheduler's small slot");
+    net_.sched().schedule(away, std::move(reconnect));
     return;
   }
   ++moves_;
@@ -104,7 +111,10 @@ void MobilityDriver::depart(MhId host) {
   const auto transit =
       static_cast<sim::Duration>(net_.rng().exponential(cfg_.mean_transit)) + 1;
   mobile.move_to(target, transit);
-  net_.sched().schedule(transit + 1, [this, host] { schedule_next(host); });
+  auto arrival = [this, host] { schedule_next(host); };
+  static_assert(sim::Scheduler::takes_small_slot<decltype(arrival)>(),
+                "a mobility arrival timer must fit the scheduler's small slot");
+  net_.sched().schedule(transit + 1, std::move(arrival));
 }
 
 MssId MobilityDriver::pick_target(MhId host, MssId current) {

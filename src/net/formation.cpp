@@ -26,13 +26,18 @@ void FormationLayer::enqueue(MssId from, MssId to, Item item) {
     // A flush before the timer fires bumps the epoch and the timer
     // becomes a no-op; there is nothing to cancel.
     const auto epoch = queue.epoch;
-    sched_.schedule(cfg_.flush_deadline, [this, slot, epoch, from, to] {
+    auto deadline = [this, slot, epoch, from, to] {
       auto& armed = queues_[slot];
       if (armed.epoch != epoch || armed.items.empty()) {
         return;  // already flushed (or never refilled): stale timer
       }
       flush_queue(armed, from, to, "deadline");
-    });
+    };
+    // Half of l2's events are these timers; a wide slot would cost each
+    // pending one 224 more bytes.
+    static_assert(sim::Scheduler::takes_small_slot<decltype(deadline)>(),
+                  "a formation deadline timer must fit the scheduler's small slot");
+    sched_.schedule(cfg_.flush_deadline, std::move(deadline));
   }
 }
 

@@ -8,7 +8,7 @@
 
 namespace mobidist::net {
 
-thread_local std::uint32_t Network::tls_shard_ = 0;
+constinit thread_local std::uint32_t Network::tls_shard_ = 0;
 
 namespace {
 

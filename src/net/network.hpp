@@ -665,8 +665,10 @@ class Network {
   std::vector<std::unique_ptr<ShardSlice>> slices_;
   /// The calling thread's shard index (0 everywhere except inside a
   /// sharded run's worker threads). static: a thread belongs to at most
-  /// one running Network at a time.
-  static thread_local std::uint32_t tls_shard_;
+  /// one running Network at a time. constinit: constant-initialized,
+  /// so reads need no TLS init wrapper (UBSan flagged the wrapper's load
+  /// at RelWithDebInfo).
+  static constinit thread_local std::uint32_t tls_shard_;
   /// Conservative-window coordinator; created by run_sharded().
   std::unique_ptr<sim::ShardGroup> group_;
   /// Sharded engine: one RNG stream per lane, seeded as a pure function

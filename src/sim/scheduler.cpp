@@ -10,60 +10,43 @@ namespace mobidist::sim {
 
 namespace {
 
-// Handle layout: generation in the high 32 bits, slot index + 1 in the
-// low 32 bits (the +1 keeps id 0 reserved for "invalid").
-constexpr std::uint64_t pack_handle(std::uint32_t generation, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(generation) << 32) |
-         (static_cast<std::uint64_t>(slot) + 1);
-}
-
 // Corpses below this count are never worth a compaction pass.
 constexpr std::size_t kCompactFloor = 64;
 
 }  // namespace
 
-EventHandle Scheduler::schedule(Duration delay, Callback fn) {
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-EventHandle Scheduler::schedule_at(SimTime at, Callback fn) {
-  if (at < now_) throw std::invalid_argument("Scheduler: event scheduled in the past");
-  if (!fn) throw std::invalid_argument("Scheduler: null callback");
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.scheduled = true;
+void Scheduler::enqueue(SimTime at, std::uint32_t slot) {
   if (at - now_ < kWheel) {
     append(at % kWheel, slot);
   } else {
     heap_.push_back(Entry{at, next_seq_++, slot});
     sift_up(heap_.size() - 1);
   }
-  ++live_;
-  return EventHandle{pack_handle(s.generation, slot)};
 }
 
 bool Scheduler::cancel(EventHandle h) {
-  if (!h.valid()) return false;
-  const auto slot = static_cast<std::uint32_t>((h.id & 0xffffffffU) - 1);
+  const auto slot = static_cast<std::uint32_t>(h.id);
   const auto generation = static_cast<std::uint32_t>(h.id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.scheduled || s.generation != generation) return false;
-  // Destroy the callback now (its captures may hold large payloads); the
-  // entry becomes a corpse, dropped when it surfaces or compacted away
-  // when corpses outnumber live events.
-  s.fn.reset();
-  s.scheduled = false;
+  // Only a pending slot has an odd generation; this also refuses the
+  // invalid handle 0.
+  if ((generation & 1U) == 0) return false;
+  if ((slot & kWideBit) != 0) return cancel_in(wide_, slot & ~kWideBit, generation);
+  return cancel_in(small_, slot, generation);
+}
+
+template <typename S>
+bool Scheduler::cancel_in(Pool<S>& pool, std::uint32_t index, std::uint32_t generation) {
+  if (!pool.holds(index)) return false;
+  S& s = pool[index];
+  if (s.generation != generation) return false;
+  // The entry becomes a corpse, dropped when it surfaces or compacted
+  // away when corpses outnumber live events. Its closure goes now (the
+  // captures may hold large payloads), after the counts are settled in
+  // case its destructor calls back in.
+  ++s.generation;
   --live_;
   ++corpses_;
+  s.fn.reset();
   maybe_compact();
   return true;
 }
@@ -107,13 +90,13 @@ Scheduler::Entry Scheduler::pop_entry() noexcept {
 }
 
 void Scheduler::append(std::size_t bucket, std::uint32_t slot) noexcept {
-  slots_[slot].next = kNoSlot;
+  link(slot).next = kNoSlot;
   Bucket& b = ring_[bucket];
   if (b.head == kNoSlot) {
     b.head = slot;
     occupied_[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
   } else {
-    slots_[b.tail].next = slot;
+    link(b.tail).next = slot;
   }
   b.tail = slot;
   ++ring_size_;
@@ -122,7 +105,7 @@ void Scheduler::append(std::size_t bucket, std::uint32_t slot) noexcept {
 std::uint32_t Scheduler::unlink_front(std::size_t bucket) noexcept {
   Bucket& b = ring_[bucket];
   const std::uint32_t slot = b.head;
-  b.head = slots_[slot].next;
+  b.head = link(slot).next;
   if (b.head == kNoSlot) occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
   --ring_size_;
   return slot;
@@ -149,7 +132,7 @@ void Scheduler::advance_to(SimTime t) {
   // their bucket in seq order, and before any direct insert can.
   while (!heap_.empty() && heap_.front().at - now_ < kWheel) {
     const Entry e = pop_entry();
-    if (slots_[e.slot].scheduled) {
+    if (is_pending(e.slot)) {
       append(e.at % kWheel, e.slot);
     } else {
       release_slot(e.slot);
@@ -159,9 +142,11 @@ void Scheduler::advance_to(SimTime t) {
 }
 
 void Scheduler::release_slot(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
-  ++s.generation;  // stale handles to this slot stop matching
-  free_.push_back(slot);
+  if ((slot & kWideBit) != 0) {
+    wide_.release(slot & ~kWideBit);
+  } else {
+    small_.release(slot);
+  }
 }
 
 void Scheduler::maybe_compact() {
@@ -178,9 +163,9 @@ void Scheduler::compact() {
     std::uint32_t slot = b.head;
     b = Bucket{};
     while (slot != kNoSlot) {
-      const std::uint32_t next = slots_[slot].next;
+      const std::uint32_t next = link(slot).next;
       --ring_size_;
-      if (slots_[slot].scheduled) {
+      if (is_pending(slot)) {
         append(bucket, slot);
       } else {
         release_slot(slot);
@@ -191,7 +176,7 @@ void Scheduler::compact() {
   }
   std::size_t kept = 0;
   for (const Entry& e : heap_) {
-    if (slots_[e.slot].scheduled) {
+    if (is_pending(e.slot)) {
       heap_[kept++] = e;
     } else {
       release_slot(e.slot);
@@ -207,7 +192,7 @@ void Scheduler::compact() {
 std::optional<SimTime> Scheduler::next_time() {
   for (;;) {
     if (ring_size_ == 0) {
-      while (!heap_.empty() && !slots_[heap_.front().slot].scheduled) {
+      while (!heap_.empty() && !is_pending(heap_.front().slot)) {
         release_slot(pop_entry().slot);
         --corpses_;
       }
@@ -215,7 +200,7 @@ std::optional<SimTime> Scheduler::next_time() {
       return heap_.front().at;
     }
     const std::size_t bucket = first_bucket();
-    if (slots_[ring_[bucket].head].scheduled) return now_ + ((bucket - now_) % kWheel);
+    if (is_pending(ring_[bucket].head)) return now_ + ((bucket - now_) % kWheel);
     // A corpse surfaced: its slot can be recycled now.
     release_slot(unlink_front(bucket));
     --corpses_;
@@ -229,15 +214,35 @@ bool Scheduler::fire_next(SimTime until) {
   // either way it is then the front of that bucket.
   if (*at != now_) advance_to(*at);
   const std::uint32_t slot = unlink_front(*at % kWheel);
-  Slot& s = slots_[slot];
-  Callback fn = std::move(s.fn);
-  s.scheduled = false;
-  release_slot(slot);
   --live_;
   ++fired_;
   maybe_compact();
-  fn();
+  if ((slot & kWideBit) != 0) {
+    fire(wide_, slot & ~kWideBit);
+  } else {
+    fire(small_, slot);
+  }
   return true;
+}
+
+template <typename S>
+void Scheduler::fire(Pool<S>& pool, std::uint32_t index) {
+  S& s = pool[index];
+  // Even again: the event's own handle stops matching, so its callback
+  // cannot cancel it. The slot is on no list while the callback runs,
+  // and blocks never move, so the closure stays put however much the
+  // callback schedules; it is destroyed and recycled once the call
+  // returns or throws.
+  ++s.generation;
+  struct Recycle {
+    Pool<S>& pool;
+    std::uint32_t index;
+    ~Recycle() {
+      pool[index].fn.reset();
+      pool.release(index);
+    }
+  } recycle{pool, index};
+  s.fn();
 }
 
 bool Scheduler::step() { return fire_next(kTimeNever); }

@@ -8,46 +8,51 @@
 
 namespace mobidist::sim {
 
-/// Move-only type-erased `void()` callable with a fixed inline buffer.
+/// Move-only type-erased `void()` callable with a fixed inline buffer of
+/// `Capacity` bytes.
 ///
 /// The scheduler's replacement for `std::function<void()>`: callables
-/// whose captures fit in kInlineCapacity bytes (every hot-path lambda in
-/// `net` does) are stored in place, so scheduling them performs no heap
-/// allocation. Larger callables fall back to a single heap allocation,
-/// trading speed for correctness rather than failing to compile.
+/// whose captures fit in kInlineCapacity bytes are stored in place, so
+/// scheduling them performs no heap allocation. Larger callables fall
+/// back to a single heap allocation, trading speed for correctness
+/// rather than failing to compile.
 ///
 /// Unlike `std::function` it is move-only, so captures may own
-/// non-copyable resources and moving a SmallFn never allocates.
-class SmallFn {
+/// non-copyable resources and moving one never allocates. The buffer
+/// comes first and the ops pointer right after it, so the object is
+/// `Capacity + 8` bytes rounded up to 16: 272 for SmallFn, and 48 for the
+/// scheduler's small slots (kSmallSlotCapacity).
+template <std::size_t Capacity>
+class BasicSmallFn {
  public:
-  /// Inline storage size. Sized for the largest `net` hot-path capture
-  /// (a 128-byte Envelope plus the downlink failure callback and retry
-  /// bookkeeping, ~200 bytes) with headroom; raising it is cheap because
-  /// Scheduler slots are pooled.
-  static constexpr std::size_t kInlineCapacity = 256;
+  /// Inline storage size.
+  static constexpr std::size_t kInlineCapacity = Capacity;
+  static_assert(Capacity >= sizeof(void*) && Capacity % alignof(void*) == 0,
+                "the buffer holds the heap pointer and is followed by the ops pointer");
 
-  SmallFn() noexcept = default;
-
-  /// Wrap any `void()` callable. Lives inline when it fits (size and
-  /// alignment) and its move constructor cannot throw; otherwise on the
-  /// heap.
-  template <typename F>
-    requires(!std::is_same_v<std::decay_t<F>, SmallFn> &&
-             std::is_invocable_r_v<void, std::decay_t<F>&>)
-  SmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      heap_ = new Fn(std::forward<F>(fn));
-      ops_ = &kHeapOps<Fn>;
-    }
+  /// True when a callable of type `Fn` lives inline: it fits the buffer
+  /// (size and alignment) and its move constructor cannot throw.
+  /// sim::Scheduler picks a slot's size class with this test.
+  template <typename Fn>
+  [[nodiscard]] static constexpr bool fits_inline() noexcept {
+    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
   }
 
-  SmallFn(SmallFn&& other) noexcept { steal(other); }
+  BasicSmallFn() noexcept = default;
 
-  SmallFn& operator=(SmallFn&& other) noexcept {
+  /// Wrap any `void()` callable: inline when fits_inline(), otherwise on
+  /// the heap.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, BasicSmallFn> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  BasicSmallFn(F&& fn) {  // NOLINT(google-explicit-constructor): mirrors std::function
+    construct(std::forward<F>(fn));
+  }
+
+  BasicSmallFn(BasicSmallFn&& other) noexcept { steal(other); }
+
+  BasicSmallFn& operator=(BasicSmallFn&& other) noexcept {
     if (this != &other) {
       reset();
       steal(other);
@@ -55,12 +60,22 @@ class SmallFn {
     return *this;
   }
 
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
+  BasicSmallFn(const BasicSmallFn&) = delete;
+  BasicSmallFn& operator=(const BasicSmallFn&) = delete;
 
-  ~SmallFn() { reset(); }
+  ~BasicSmallFn() { reset(); }
 
-  /// Destroy the held callable (if any); the SmallFn becomes empty.
+  /// Destroy the held callable (if any), then build `fn` in place. If
+  /// building it throws, this is left empty.
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, BasicSmallFn> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  void emplace(F&& fn) {
+    reset();
+    construct(std::forward<F>(fn));
+  }
+
+  /// Destroy the held callable (if any); this becomes empty.
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(this);
@@ -68,7 +83,7 @@ class SmallFn {
     }
   }
 
-  /// True when a callable is held (empty SmallFns must not be invoked).
+  /// True when a callable is held (empty ones must not be invoked).
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   /// Invoke the held callable. Precondition: non-empty.
@@ -76,46 +91,57 @@ class SmallFn {
 
  private:
   struct Ops {
-    void (*invoke)(SmallFn* self);
-    void (*relocate)(SmallFn* dst, SmallFn* src) noexcept;  // move into dst, leave src empty
-    void (*destroy)(SmallFn* self) noexcept;
+    void (*invoke)(BasicSmallFn* self);
+    void (*relocate)(BasicSmallFn* dst, BasicSmallFn* src) noexcept;  // move into dst, leave src empty
+    void (*destroy)(BasicSmallFn* self) noexcept;
   };
 
-  template <typename Fn>
-  [[nodiscard]] static constexpr bool fits_inline() noexcept {
-    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
+  /// Precondition: empty. `ops_` is set only once the callable exists.
+  template <typename F>
+  void construct(F&& fn) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      ops_ = &kHeapOps<Fn>;
+    }
   }
 
   template <typename Fn>
   [[nodiscard]] Fn* inline_target() noexcept {
     return std::launder(reinterpret_cast<Fn*>(buf_));
   }
+  template <typename Fn>
+  [[nodiscard]] Fn* heap_target() noexcept {
+    return *std::launder(reinterpret_cast<Fn**>(buf_));
+  }
 
   template <typename Fn>
-  static void inline_invoke(SmallFn* self) {
+  static void inline_invoke(BasicSmallFn* self) {
     (*self->inline_target<Fn>())();
   }
   template <typename Fn>
-  static void inline_relocate(SmallFn* dst, SmallFn* src) noexcept {
+  static void inline_relocate(BasicSmallFn* dst, BasicSmallFn* src) noexcept {
     ::new (static_cast<void*>(dst->buf_)) Fn(std::move(*src->inline_target<Fn>()));
     src->inline_target<Fn>()->~Fn();
   }
   template <typename Fn>
-  static void inline_destroy(SmallFn* self) noexcept {
+  static void inline_destroy(BasicSmallFn* self) noexcept {
     self->inline_target<Fn>()->~Fn();
   }
   template <typename Fn>
-  static void heap_invoke(SmallFn* self) {
-    (*static_cast<Fn*>(self->heap_))();
-  }
-  static void heap_relocate(SmallFn* dst, SmallFn* src) noexcept {
-    dst->heap_ = src->heap_;
-    src->heap_ = nullptr;
+  static void heap_invoke(BasicSmallFn* self) {
+    (*self->heap_target<Fn>())();
   }
   template <typename Fn>
-  static void heap_destroy(SmallFn* self) noexcept {
-    delete static_cast<Fn*>(self->heap_);
+  static void heap_relocate(BasicSmallFn* dst, BasicSmallFn* src) noexcept {
+    ::new (static_cast<void*>(dst->buf_)) Fn*(src->heap_target<Fn>());
+  }
+  template <typename Fn>
+  static void heap_destroy(BasicSmallFn* self) noexcept {
+    delete self->heap_target<Fn>();
   }
 
   template <typename Fn>
@@ -123,10 +149,10 @@ class SmallFn {
                                      &inline_destroy<Fn>};
 
   template <typename Fn>
-  static constexpr Ops kHeapOps = {&heap_invoke<Fn>, &heap_relocate,
+  static constexpr Ops kHeapOps = {&heap_invoke<Fn>, &heap_relocate<Fn>,
                                    &heap_destroy<Fn>};
 
-  void steal(SmallFn& other) noexcept {
+  void steal(BasicSmallFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(this, &other);
@@ -134,11 +160,21 @@ class SmallFn {
     }
   }
 
-  union {
-    alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
-    void* heap_;
-  };
+  /// The callable itself, or (heap fallback) a pointer to it.
+  alignas(std::max_align_t) unsigned char buf_[Capacity];
   const Ops* ops_ = nullptr;
 };
+
+/// The 256-byte callable: cross-shard mail and the scheduler's wide
+/// slots. Its buffer holds the largest `net` hot-path capture (a 128-byte
+/// Envelope plus the downlink failure callback and retry bookkeeping,
+/// about 200 bytes) with headroom.
+using SmallFn = BasicSmallFn<256>;
+
+/// Inline capacity of sim::Scheduler's 64-byte small slots. Every timer
+/// on the hot path (echo's ping, the formation deadline, the mobility
+/// driver's three timers) captures a few ids and pointers and fits; a
+/// callable that does not takes a 288-byte wide slot instead.
+inline constexpr std::size_t kSmallSlotCapacity = 40;
 
 }  // namespace mobidist::sim

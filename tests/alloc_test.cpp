@@ -53,6 +53,27 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
+// Over-aligned types (the scheduler's cache-line small slots) come
+// through the aligned forms; count them too.
+namespace {
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  ++g_news;
+  const auto align = static_cast<std::size_t>(al);
+  const std::size_t rounded = (std::max<std::size_t>(n, 1) + align - 1) / align * align;
+  if (void* p = std::aligned_alloc(align, rounded)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n, std::align_val_t al) { return counted_aligned_alloc(n, al); }
+void* operator new[](std::size_t n, std::align_val_t al) { return counted_aligned_alloc(n, al); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
 namespace mobidist::test {
 namespace {
 
@@ -71,9 +92,19 @@ TEST(AllocCounting, HookSeesPlainNew) {
   EXPECT_GE(count, 1u);
 }
 
-// The tentpole claim: once the slot pool and heap array have grown to
-// the working set (one warm-up round), scheduling and firing events
-// whose captures fit SmallFn's inline buffer is allocation-free.
+TEST(AllocCounting, HookSeesAlignedNew) {
+  struct alignas(64) Line {
+    unsigned char bytes[64];
+  };
+  const auto count = allocations_during([] {
+    delete new Line{};  // NOLINT: exercising the counting hook itself
+  });
+  EXPECT_GE(count, 1u);
+}
+
+// Once the slot blocks and heap array have grown to the working set
+// (one warm-up round), scheduling and firing events whose captures fit
+// a slot's inline buffer is allocation-free.
 TEST(SchedulerHotPath, ScheduleAndFireDoNotAllocateAfterWarmup) {
   sim::Scheduler sched;
   constexpr int kBatch = 64;
@@ -87,7 +118,7 @@ TEST(SchedulerHotPath, ScheduleAndFireDoNotAllocateAfterWarmup) {
     sched.run_until(sched.now() + base + kBatch);
   };
 
-  one_round(1);  // warm-up: grows slots_ / heap_ to the working set
+  one_round(1);  // warm-up: grows the slot blocks and heap_ to the working set
   const auto count = allocations_during([&] {
     for (int round = 0; round < kRounds; ++round) one_round(1);
   });
@@ -140,12 +171,56 @@ TEST(SchedulerHotPath, RingAndOverflowMixDoesNotAllocateAfterWarmup) {
     sched.run_until(sched.now() + 10'001);
   };
 
-  one_round();  // warm-up: grows slots_ / heap_ / free_ to the working set
+  one_round();  // warm-up: grows the slot blocks and heap_ to the working set
   const auto count = allocations_during([&] {
     for (int round = 0; round < kRounds; ++round) one_round();
   });
 
   EXPECT_EQ(count, 0u) << "ring/overflow schedule, cancel and fire allocated";
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kBatch / 2) * (kRounds + 1));
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
+// The two slot classes share the ring, the heap and compaction, and
+// each keeps its own blocks and free list: once both have grown to a
+// round's working set, rounds that mix small timers with 200-byte
+// closures (the size of a frame landing), in the ring and on the heap,
+// with half of them cancelled, allocate nothing.
+TEST(SchedulerHotPath, SmallAndWideSlotMixDoesNotAllocateAfterWarmup) {
+  sim::Scheduler sched;
+  constexpr sim::Duration kDelays[] = {0, 3, 255, 256, 10'000};
+  constexpr int kBatch = 320;
+  constexpr int kRounds = 100;
+  struct Pad {
+    std::uint64_t words[25];
+  };
+  std::vector<sim::EventHandle> handles;
+  handles.reserve(kBatch);
+  std::uint64_t fired = 0;
+
+  auto one_round = [&] {
+    handles.clear();
+    for (int i = 0; i < kBatch; ++i) {
+      const sim::Duration delay = kDelays[i % 5];
+      if (i % 2 == 0) {
+        handles.push_back(sched.schedule(delay, [&fired] { ++fired; }));
+      } else {
+        auto wide = [&fired, pad = Pad{{1}}] { fired += pad.words[0]; };
+        static_assert(!sim::Scheduler::takes_small_slot<decltype(wide)>());
+        handles.push_back(sched.schedule(delay, std::move(wide)));
+      }
+    }
+    for (int i = 0; i < kBatch; i += 4) ASSERT_TRUE(sched.cancel(handles[i]));
+    for (int i = 3; i < kBatch; i += 4) ASSERT_TRUE(sched.cancel(handles[i]));
+    sched.run_until(sched.now() + 10'001);
+  };
+
+  one_round();  // warm-up: grows both classes' blocks and the heap
+  const auto count = allocations_during([&] {
+    for (int round = 0; round < kRounds; ++round) one_round();
+  });
+
+  EXPECT_EQ(count, 0u) << "mixed small/wide schedule, cancel and fire allocated";
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kBatch / 2) * (kRounds + 1));
   EXPECT_EQ(sched.pending(), 0u);
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -382,6 +384,22 @@ Duration draw_delay(Rng& rng) {
   }
 }
 
+/// 200 bytes derived from an event id: with it, a closure is the size of
+/// a frame landing and takes a wide slot. The callback checks it, so a
+/// closure that moved or was overwritten while pending fails the test.
+struct WidePad {
+  explicit WidePad(std::uint64_t id) {
+    for (std::size_t i = 0; i < words.size(); ++i) words[i] = splitmix64(id + i);
+  }
+  [[nodiscard]] bool intact(std::uint64_t id) const {
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      if (words[i] != splitmix64(id + i)) return false;
+    }
+    return true;
+  }
+  std::array<std::uint64_t, 25> words;
+};
+
 /// One scheduler under test plus what it did: the ids it fired, in
 /// order, and the results of cancels made from inside callbacks. An
 /// event's own id seeds what its callback does, so both sides make the
@@ -390,9 +408,22 @@ template <typename Sched>
 struct Side {
   explicit Side(std::uint64_t seed) : seed(seed) {}
 
+  // Even ids take a small slot and odd ids a wide one, so the two size
+  // classes share buckets, the heap, migration and compaction.
   void add(SimTime at) {
     const std::uint64_t id = handles.size();
-    handles.push_back(sched.schedule_at(at, [this, id] { on_fire(id); }));
+    if (id % 2 == 0) {
+      auto small = [this, id] { on_fire(id); };
+      static_assert(Scheduler::takes_small_slot<decltype(small)>());
+      handles.push_back(sched.schedule_at(at, std::move(small)));
+    } else {
+      auto wide = [this, id, pad = WidePad(id)] {
+        EXPECT_TRUE(pad.intact(id)) << "captures of event " << id << " changed";
+        on_fire(id);
+      };
+      static_assert(!Scheduler::takes_small_slot<decltype(wide)>());
+      handles.push_back(sched.schedule_at(at, std::move(wide)));
+    }
   }
 
   bool cancel(std::uint64_t id) { return sched.cancel(handles[id]); }
@@ -512,6 +543,210 @@ TEST(SchedulerDifferential, OverflowEventsFireBeforeLaterSameInstantInserts) {
   sched.schedule_at(299, [&] { order.push_back(0); });
   sched.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// Slot lifecycle: each closure is built in its slot, called there and
+// destroyed there, exactly once, whichever way its event ends.
+namespace slot_life {
+
+/// What happened to one closure's captures. A copy or move makes a new
+/// instance; `destroyed` counts destructions of an instance that still
+/// held the captures (not a moved-from shell).
+struct Lives {
+  int moves = 0;
+  int destroyed = 0;
+  int calls = 0;
+  int moves_at_call = -1;      // `moves` when the closure ran
+  int destroyed_at_call = -1;  // `destroyed` when the closure ran
+};
+
+/// A closure of exactly `Size` bytes (alignment 1) that records its life
+/// in a Lives.
+template <std::size_t Size>
+class SizedClosure {
+ public:
+  explicit SizedClosure(Lives* lives) { std::memcpy(lives_.data(), &lives, sizeof lives); }
+  SizedClosure(SizedClosure&& other) noexcept : lives_(other.lives_), pad_(other.pad_) {
+    other.lives_ = {};
+    if (Lives* l = lives()) ++l->moves;
+  }
+  SizedClosure(const SizedClosure&) = delete;
+  SizedClosure& operator=(const SizedClosure&) = delete;
+  SizedClosure& operator=(SizedClosure&&) = delete;
+  ~SizedClosure() {
+    if (Lives* l = lives()) ++l->destroyed;
+  }
+
+  void operator()() {
+    Lives* l = lives();
+    ++l->calls;
+    l->moves_at_call = l->moves;
+    l->destroyed_at_call = l->destroyed;
+  }
+
+ private:
+  [[nodiscard]] Lives* lives() const {
+    Lives* l = nullptr;
+    std::memcpy(&l, lives_.data(), sizeof l);
+    return l;
+  }
+  std::array<unsigned char, sizeof(Lives*)> lives_{};
+  std::array<unsigned char, Size - sizeof(Lives*)> pad_{};
+};
+static_assert(sizeof(SizedClosure<40>) == 40 && sizeof(SizedClosure<41>) == 41);
+static_assert(Scheduler::takes_small_slot<SizedClosure<40>>());
+static_assert(!Scheduler::takes_small_slot<SizedClosure<41>>());
+static_assert(!SmallFn::fits_inline<SizedClosure<300>>());
+
+/// How a scheduled event ends.
+enum class End { kFired, kCancelled, kPendingAtDestruction };
+
+/// Schedule `fn` (recording its moves so far in `moves_at_schedule`),
+/// then end the event the way `end` says.
+template <typename Fn>
+void schedule_and_end(Fn fn, const Lives& lives, End end, int& moves_at_schedule) {
+  Scheduler sched;
+  const EventHandle h = sched.schedule(3, std::move(fn));
+  moves_at_schedule = lives.moves;
+  EXPECT_EQ(lives.destroyed, 0);
+  if (end == End::kFired) {
+    EXPECT_EQ(sched.run(), 1u);
+  } else if (end == End::kCancelled) {
+    EXPECT_TRUE(sched.cancel(h));
+    EXPECT_EQ(lives.destroyed, 1) << "cancel destroys the closure at once";
+    EXPECT_EQ(sched.run(), 0u);
+  }
+}
+
+template <typename Fn>
+void check_one_life(const char* what, End end, Fn (*make)(Lives*)) {
+  SCOPED_TRACE(std::string(what) + " end=" + std::to_string(static_cast<int>(end)));
+  Lives lives;
+  int moves_at_schedule = -1;
+  schedule_and_end(make(&lives), lives, end, moves_at_schedule);
+  EXPECT_EQ(lives.destroyed, 1);
+  EXPECT_EQ(lives.calls, end == End::kFired ? 1 : 0);
+  if (end == End::kFired) {
+    EXPECT_EQ(lives.moves_at_call, moves_at_schedule) << "closure moved while pending";
+    EXPECT_EQ(lives.destroyed_at_call, 0);
+  }
+}
+
+SizedClosure<40> make40(Lives* l) { return SizedClosure<40>(l); }
+SizedClosure<41> make41(Lives* l) { return SizedClosure<41>(l); }
+SizedClosure<300> make300(Lives* l) { return SizedClosure<300>(l); }
+SmallFn make_small_fn(Lives* l) { return SmallFn(SizedClosure<24>(l)); }
+
+/// A callback that, on its first call, cancels its own event through the
+/// handle stored in `self` and records what cancel() said.
+struct SelfCanceller {
+  Scheduler* sched;
+  const EventHandle* self;
+  bool* cancel_result;
+  Lives* lives;
+  void operator()() const {
+    *cancel_result = sched->cancel(*self);
+    lives->destroyed_at_call = lives->destroyed;
+  }
+};
+
+}  // namespace slot_life
+
+TEST(SchedulerSlots, EveryClosureLivesOnceWhateverEndsIt) {
+  using slot_life::End;
+  for (const End end : {End::kFired, End::kCancelled, End::kPendingAtDestruction}) {
+    slot_life::check_one_life("40-byte closure (small slot)", end, &slot_life::make40);
+    slot_life::check_one_life("41-byte closure (wide slot)", end, &slot_life::make41);
+    slot_life::check_one_life("300-byte closure (heap fallback)", end, &slot_life::make300);
+    slot_life::check_one_life("moved-in SmallFn", end, &slot_life::make_small_fn);
+  }
+}
+
+TEST(SchedulerSlots, CallbackThatAddsBlocksStillReadsItsOwnCaptures) {
+  // 3 000 events of each class outgrow the first 1 024-slot block of
+  // both; under ASan a closure read after its storage moved would fail.
+  for (const bool self_is_wide : {false, true}) {
+    SCOPED_TRACE(self_is_wide ? "wide self" : "small self");
+    Scheduler sched;
+    std::uint64_t fired_inner = 0;
+    bool checked = false;
+    auto flood = [&sched, &fired_inner] {
+      for (int i = 0; i < 3000; ++i) {
+        sched.schedule(1 + i % 300, [&fired_inner] { ++fired_inner; });
+        sched.schedule(1 + i % 300, [&fired_inner, pad = scheduler_diff::WidePad(7)] {
+          if (pad.intact(7)) ++fired_inner;
+        });
+      }
+    };
+    if (self_is_wide) {
+      sched.schedule(1, [&flood, &checked, pad = scheduler_diff::WidePad(42)] {
+        flood();
+        checked = pad.intact(42);
+      });
+    } else {
+      sched.schedule(1, [&flood, &checked, a = std::uint64_t{42}, b = std::uint64_t{43}] {
+        flood();
+        checked = a == 42 && b == 43;
+      });
+    }
+    ASSERT_TRUE(sched.step());
+    EXPECT_TRUE(checked) << "the firing closure's captures changed while it ran";
+    EXPECT_EQ(sched.pending(), 6000u);
+    EXPECT_EQ(sched.run(), 6000u);
+    EXPECT_EQ(fired_inner, 6000u);
+  }
+}
+
+TEST(SchedulerSlots, RunningEventCannotCancelItselfAndDiesAfterItReturns) {
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide" : "small");
+    Scheduler sched;
+    slot_life::Lives lives;
+    EventHandle self;
+    bool cancel_result = true;
+    const slot_life::SelfCanceller call{&sched, &self, &cancel_result, &lives};
+    if (wide) {
+      self = sched.schedule(2, [call, probe = slot_life::SizedClosure<200>(&lives)] { call(); });
+    } else {
+      self = sched.schedule(2, [call, probe = slot_life::SizedClosure<8>(&lives)] { call(); });
+    }
+    sched.schedule(5, [] {});
+    ASSERT_TRUE(sched.step());
+    EXPECT_FALSE(cancel_result) << "a firing event's own handle must not cancel it";
+    EXPECT_EQ(lives.destroyed_at_call, 0) << "captures destroyed while the callback ran";
+    EXPECT_EQ(lives.destroyed, 1);
+    EXPECT_EQ(sched.pending(), 1u);
+    EXPECT_FALSE(sched.cancel(self));
+    EXPECT_EQ(sched.run(), 1u);
+    EXPECT_EQ(lives.destroyed, 1);
+  }
+}
+
+TEST(SchedulerSlots, ThrowingCallbackLeavesStepAndItsSlotIsReused) {
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide" : "small");
+    Scheduler sched;
+    slot_life::Lives lives;
+    auto boom = [] { throw std::runtime_error("boom"); };
+    const EventHandle thrower =
+        wide ? sched.schedule(1, [boom, probe = slot_life::SizedClosure<200>(&lives)] { boom(); })
+             : sched.schedule(1, [boom, probe = slot_life::SizedClosure<8>(&lives)] { boom(); });
+    sched.schedule(4, [] {});
+    EXPECT_THROW(sched.step(), std::runtime_error);
+    EXPECT_EQ(lives.destroyed, 1);
+    EXPECT_EQ(sched.fired(), 1u);
+    EXPECT_EQ(sched.pending(), 1u);
+    EXPECT_EQ(sched.now(), 1u);
+    EXPECT_FALSE(sched.cancel(thrower));
+    // A handle's low 32 bits name its slot: the next event of the same
+    // class takes the slot the thrower left.
+    const EventHandle next =
+        wide ? sched.schedule(1, [pad = scheduler_diff::WidePad(1)] { (void)pad; })
+             : sched.schedule(1, [] {});
+    EXPECT_EQ(static_cast<std::uint32_t>(next.id), static_cast<std::uint32_t>(thrower.id));
+    EXPECT_NE(next, thrower);
+    EXPECT_EQ(sched.run(), 2u);
+  }
 }
 
 // --------------------------------------------------------------------------
