@@ -265,10 +265,8 @@ void build_delivery(ScenarioContext& ctx) {
   const auto& spec = ctx.spec();
   auto& net = ctx.net();
   require_topology(spec, 2, 2);
-  auto station = std::make_shared<PingStation>();
-  auto host = std::make_shared<PingHost>();
-  ctx.emplace<std::shared_ptr<PingStation>>(station);
-  ctx.emplace<std::shared_ptr<PingHost>>(host);
+  auto* station = &ctx.emplace<PingStation>();
+  auto* host = &ctx.emplace<PingHost>();
   const auto target = static_cast<MhId>(net.num_mh() - 1);
   net.mss(MssId(0)).register_agent(net::protocol::kUserBase, station);
   net.mh(target).register_agent(net::protocol::kUserBase, host);
@@ -308,10 +306,8 @@ void build_relay_burst(ScenarioContext& ctx) {
   if (spec.variant == "fifo") fifo = true;
   else if (spec.variant != "raw") bad_variant(spec, kNames);
 
-  auto sender = std::make_shared<BurstSender>();
-  auto receiver = std::make_shared<BurstReceiver>();
-  ctx.emplace<std::shared_ptr<BurstSender>>(sender);
-  ctx.emplace<std::shared_ptr<BurstReceiver>>(receiver);
+  auto* sender = &ctx.emplace<BurstSender>();
+  auto* receiver = &ctx.emplace<BurstReceiver>();
   net.mh(MhId(0)).register_agent(net::protocol::kUserBase, sender);
   net.mh(MhId(1)).register_agent(net::protocol::kUserBase, receiver);
 
@@ -422,19 +418,20 @@ void build_multicast(ScenarioContext& ctx) {
       return service->monitor().exactly_once(recipients) ? 1.0 : 0.0;
     });
   } else if (spec.variant == "search") {
+    constexpr net::ProtocolId kNaive = net::protocol::kUserBase + 9;
     auto& monitor = ctx.emplace<group::DeliveryMonitor>();
-    auto sender = std::make_shared<NaiveMcastSender>(recipients);
-    ctx.emplace<std::shared_ptr<NaiveMcastSender>>(sender);
-    net.mss(MssId(0)).register_agent(net::protocol::kUserBase + 9, sender);
-    for (std::uint32_t i = 1; i < net.num_mss(); ++i) {
-      net.mss(static_cast<MssId>(i))
-          .register_agent(net::protocol::kUserBase + 9,
-                          std::make_shared<NaiveMcastSender>(recipients));
+    auto& senders = ctx.emplace<std::vector<NaiveMcastSender>>();
+    senders.reserve(net.num_mss());
+    for (std::uint32_t i = 0; i < net.num_mss(); ++i) {
+      auto* station = &senders.emplace_back(recipients);
+      net.mss(static_cast<MssId>(i)).register_agent(kNaive, station);
     }
+    auto& receivers = ctx.emplace<std::vector<NaiveMcastReceiver>>();
+    receivers.reserve(recipients.size());
     for (const auto mh : recipients.members) {
-      net.mh(mh).register_agent(net::protocol::kUserBase + 9,
-                                std::make_shared<NaiveMcastReceiver>(monitor));
+      net.mh(mh).register_agent(kNaive, &receivers.emplace_back(monitor));
     }
+    auto* sender = &senders.front();
     auto* mon = &monitor;
     for (std::uint64_t i = 0; i < messages; ++i) {
       net.sched().schedule_at(5 + 25 * i, [mon, sender, i] {
@@ -719,47 +716,45 @@ void build_scale(ScenarioContext& ctx) {
 
   if (spec.variant == "echo") {
     const auto pings = spec.param_u64("pings", 50);
-    auto& stations = ctx.emplace<std::vector<std::shared_ptr<EchoStation>>>();
+    auto& stations = ctx.emplace<std::vector<EchoStation>>();
+    stations.reserve(net.num_mss());
     for (std::uint32_t s = 0; s < net.num_mss(); ++s) {
-      auto station = std::make_shared<EchoStation>();
-      net.mss(static_cast<MssId>(s)).register_agent(net::protocol::kUserBase, station);
-      stations.push_back(std::move(station));
+      net.mss(static_cast<MssId>(s))
+          .register_agent(net::protocol::kUserBase, &stations.emplace_back());
     }
-    auto& hosts = ctx.emplace<std::vector<std::shared_ptr<EchoHost>>>();
+    auto& hosts = ctx.emplace<std::vector<EchoHost>>();
+    hosts.reserve(n);
     for (std::uint32_t h = 0; h < n; ++h) {
-      auto host = std::make_shared<EchoHost>();
-      net.mh(static_cast<MhId>(h)).register_agent(net::protocol::kUserBase, host);
-      hosts.push_back(host);
+      auto* driver = &hosts.emplace_back();
+      net.mh(static_cast<MhId>(h)).register_agent(net::protocol::kUserBase, driver);
       // Stagger start instants across the gap so uplinks don't all land
       // on the same tick. Primed on the lane owning the host's cell so
       // the sharded engine starts each loop on its own shard.
-      auto* driver = host.get();
       net.schedule_on_lane(net.lane_of(obs::Entity::mh(h)), 1 + h % gap,
                            [driver, pings, gap] { driver->ping(pings, gap); });
     }
     ctx.metric("sent", [&hosts] {
       std::uint64_t total = 0;
-      for (const auto& host : hosts) total += host->sent();
+      for (const auto& host : hosts) total += host.sent();
       return static_cast<double>(total);
     });
     ctx.metric("delivered", [&hosts] {
       std::uint64_t total = 0;
-      for (const auto& host : hosts) total += host->received();
+      for (const auto& host : hosts) total += host.received();
       return static_cast<double>(total);
     });
     ctx.metric("echoed", [&stations] {
       std::uint64_t total = 0;
-      for (const auto& station : stations) total += station->echoed();
+      for (const auto& station : stations) total += station.echoed();
       return static_cast<double>(total);
     });
   } else if (spec.variant == "timers") {
     const auto ticks = spec.param_u64("ticks", 64);
     const auto churn = spec.param_u64("churn", 16);
-    auto& drivers = ctx.emplace<std::vector<std::shared_ptr<TimerChurn>>>();
+    auto& drivers = ctx.emplace<std::vector<TimerChurn>>();
+    drivers.reserve(n);
     for (std::uint32_t h = 0; h < n; ++h) {
-      auto driver = std::make_shared<TimerChurn>(net);
-      drivers.push_back(driver);
-      auto* churner = driver.get();
+      auto* churner = &drivers.emplace_back(net);
       net.schedule_on_lane(net.lane_of(obs::Entity::mh(h)), 1 + h % gap,
                            [churner, ticks, churn, gap] {
                              churner->tick(ticks, churn, gap);
@@ -767,7 +762,7 @@ void build_scale(ScenarioContext& ctx) {
     }
     ctx.metric("cancelled", [&drivers] {
       std::uint64_t total = 0;
-      for (const auto& driver : drivers) total += driver->cancelled();
+      for (const auto& driver : drivers) total += driver.cancelled();
       return static_cast<double>(total);
     });
   } else {

@@ -117,19 +117,20 @@ class AlwaysInformGroup::StationAgent : public net::MssAgent {
 AlwaysInformGroup::AlwaysInformGroup(net::Network& net, Group group, net::ProtocolId proto)
     : net_(net),
       group_(std::move(group)),
+      proto_(proto),
       loc_updates_(net.metrics().counter("group.always_inform.loc_updates")),
       stale_chases_(net.metrics().counter("group.always_inform.stale_chases")) {
+  stations_.reserve(net.num_mss());
   for (std::uint32_t i = 0; i < net.num_mss(); ++i) {
-    net.mss(static_cast<MssId>(i))
-        .register_agent(proto, std::make_shared<StationAgent>(*this));
+    net.mss(static_cast<MssId>(i)).register_agent(proto, &stations_.emplace_back(*this));
   }
-  host_agents_.resize(net.num_mh());
+  hosts_.reserve(group_.size());
   for (const auto member : group_.members) {
-    auto agent = std::make_shared<HostAgent>(*this);
-    host_agents_[net::index(member)] = agent;
-    net.mh(member).register_agent(proto, agent);
+    net.mh(member).register_agent(proto, &hosts_.emplace_back(*this));
   }
 }
+
+AlwaysInformGroup::~AlwaysInformGroup() = default;
 
 std::uint64_t AlwaysInformGroup::send_group_message(MhId sender) {
   if (!group_.contains(sender)) {
@@ -137,7 +138,7 @@ std::uint64_t AlwaysInformGroup::send_group_message(MhId sender) {
   }
   const std::uint64_t msg_id = next_msg_++;
   monitor_.sent(msg_id, sender);
-  host_agents_[net::index(sender)]->send_group(msg_id);
+  static_cast<HostAgent*>(net_.mh(sender).agent(proto_))->send_group(msg_id);
   return msg_id;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "group/group.hpp"
@@ -26,6 +25,7 @@ class AlwaysInformGroup {
  public:
   AlwaysInformGroup(net::Network& net, Group group,
                     net::ProtocolId proto = net::protocol::kGroupData);
+  ~AlwaysInformGroup();
 
   /// Send one group message from `sender` (must be a member).
   std::uint64_t send_group_message(net::MhId sender);
@@ -50,8 +50,12 @@ class AlwaysInformGroup {
 
   net::Network& net_;
   Group group_;
+  net::ProtocolId proto_;
   DeliveryMonitor monitor_;
-  std::vector<std::shared_ptr<HostAgent>> host_agents_;  // indexed by MH
+  // Stations by MSS, hosts by member; sized once, so registered pointers
+  // stay valid. A member's agent is found through its host.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   std::uint64_t next_msg_ = 1;
   // Registry-backed counters ("group.always_inform.*"), bound to the
   // network's registry at construction.

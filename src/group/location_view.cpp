@@ -414,33 +414,32 @@ LocationViewGroup::LocationViewGroup(net::Network& net, Group group, MssId coord
     : net_(net),
       group_(std::move(group)),
       coordinator_(coordinator),
+      proto_(proto),
       significant_moves_(net.metrics().counter("group.location_view.significant_moves")),
       max_view_(net.metrics().gauge("group.location_view.max_view")),
       chases_(net.metrics().counter("group.location_view.chases")) {
-  stations_.resize(net.num_mss());
+  stations_.reserve(net.num_mss());
   for (std::uint32_t i = 0; i < net.num_mss(); ++i) {
     const auto id = static_cast<MssId>(i);
-    auto agent = std::make_shared<StationAgent>(*this, id == coordinator_);
-    stations_[i] = agent;
-    net.mss(id).register_agent(proto, agent);
+    net.mss(id).register_agent(proto, &stations_.emplace_back(*this, id == coordinator_));
   }
-  hosts_.resize(net.num_mh());
+  hosts_.reserve(group_.size());
   for (const auto member : group_.members) {
-    auto agent = std::make_shared<HostAgent>(*this);
-    hosts_[net::index(member)] = agent;
-    net.mh(member).register_agent(proto, agent);
+    net.mh(member).register_agent(proto, &hosts_.emplace_back(*this));
   }
   // Seed the initial view from the placement: LV(G)^0.
   std::set<MssId> initial;
   for (const auto member : group_.members) {
     const MssId at = net.mh(member).last_mss();
     initial.insert(at);
-    stations_[net::index(at)]->seed_local(member);
+    stations_[net::index(at)].seed_local(member);
   }
-  for (const auto mss : initial) stations_[net::index(mss)]->seed_view(initial);
-  stations_[net::index(coordinator_)]->seed_master(initial);
+  for (const auto mss : initial) stations_[net::index(mss)].seed_view(initial);
+  stations_[net::index(coordinator_)].seed_master(initial);
   max_view_.set_max(static_cast<std::int64_t>(initial.size()));
 }
+
+LocationViewGroup::~LocationViewGroup() = default;
 
 std::uint64_t LocationViewGroup::send_group_message(MhId sender) {
   if (!group_.contains(sender)) {
@@ -448,12 +447,12 @@ std::uint64_t LocationViewGroup::send_group_message(MhId sender) {
   }
   const std::uint64_t msg_id = next_msg_++;
   monitor_.sent(msg_id, sender);
-  hosts_[net::index(sender)]->send_group(msg_id);
+  static_cast<HostAgent*>(net_.mh(sender).agent(proto_))->send_group(msg_id);
   return msg_id;
 }
 
 const std::set<MssId>& LocationViewGroup::current_view() const noexcept {
-  return stations_[net::index(coordinator_)]->master();
+  return stations_[net::index(coordinator_)].master();
 }
 
 std::uint64_t LocationViewGroup::duplicates_suppressed() const noexcept {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -35,6 +34,7 @@ class LocationViewGroup {
   LocationViewGroup(net::Network& net, Group group,
                     net::MssId coordinator = static_cast<net::MssId>(0),
                     net::ProtocolId proto = net::protocol::kGroupLocation);
+  ~LocationViewGroup();
 
   /// Send one group message from `sender` (must be a member).
   std::uint64_t send_group_message(net::MhId sender);
@@ -70,9 +70,12 @@ class LocationViewGroup {
   net::Network& net_;
   Group group_;
   net::MssId coordinator_;
+  net::ProtocolId proto_;
   DeliveryMonitor monitor_;
-  std::vector<std::shared_ptr<StationAgent>> stations_;  // indexed by MSS
-  std::vector<std::shared_ptr<HostAgent>> hosts_;        // indexed by MH
+  // Stations by MSS, hosts by member; sized once, so registered pointers
+  // stay valid. A member's agent is found through its host.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   std::uint64_t next_msg_ = 1;
   // Registry-backed metrics ("group.location_view.*"), bound to the
   // network's registry at construction.

@@ -41,14 +41,15 @@ class PureSearchGroup::Agent : public net::MhAgent {
 PureSearchGroup::PureSearchGroup(net::Network& net, Group group, net::ProtocolId proto)
     : net_(net),
       group_(std::move(group)),
+      proto_(proto),
       group_msgs_(net.metrics().counter("group.pure_search.group_msgs")) {
-  agents_.resize(net.num_mh());
+  agents_.reserve(group_.size());
   for (const auto member : group_.members) {
-    auto agent = std::make_shared<Agent>(*this);
-    agents_[net::index(member)] = agent;
-    net.mh(member).register_agent(proto, agent);
+    net.mh(member).register_agent(proto, &agents_.emplace_back(*this));
   }
 }
+
+PureSearchGroup::~PureSearchGroup() = default;
 
 std::uint64_t PureSearchGroup::send_group_message(MhId sender) {
   if (!group_.contains(sender)) {
@@ -57,7 +58,7 @@ std::uint64_t PureSearchGroup::send_group_message(MhId sender) {
   const std::uint64_t msg_id = next_msg_++;
   ++group_msgs_;
   monitor_.sent(msg_id, sender);
-  agents_[net::index(sender)]->send(msg_id);
+  static_cast<Agent*>(net_.mh(sender).agent(proto_))->send(msg_id);
   return msg_id;
 }
 

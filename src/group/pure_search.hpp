@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "group/group.hpp"
@@ -21,6 +20,7 @@ class PureSearchGroup {
  public:
   PureSearchGroup(net::Network& net, Group group,
                   net::ProtocolId proto = net::protocol::kGroupData);
+  ~PureSearchGroup();
 
   /// Send one group message from `sender` (must be a member). Callable
   /// from inside the simulation. Returns the message id.
@@ -37,8 +37,11 @@ class PureSearchGroup {
   class Agent;
   net::Network& net_;
   Group group_;
+  net::ProtocolId proto_;
   DeliveryMonitor monitor_;
-  std::vector<std::shared_ptr<Agent>> agents_;
+  // One per member; sized once, so registered pointers stay valid. A
+  // member's agent is found through its host.
+  std::vector<Agent> agents_;
   std::uint64_t next_msg_ = 1;
   obs::Counter& group_msgs_;  // "group.pure_search.group_msgs"
 };

@@ -64,7 +64,7 @@ class McastService::StationAgent : public net::MssAgent {
     deliver_pending(mh);
   }
 
-  std::any on_handoff_out(MhId mh) override {
+  net::Body on_handoff_out(MhId mh) override {
     if (!owner_.recipients_.contains(mh)) return {};
     Watermarks state;
     if (const auto it = watermarks_.find(mh); it != watermarks_.end()) {
@@ -74,8 +74,8 @@ class McastService::StationAgent : public net::MssAgent {
     return state;
   }
 
-  void on_handoff_in(MhId mh, MssId /*from*/, const std::any& state) override {
-    const auto* marks = std::any_cast<Watermarks>(&state);
+  void on_handoff_in(MhId mh, MssId /*from*/, const net::Body& state) override {
+    const auto* marks = state.get<Watermarks>();
     if (marks == nullptr) return;
     watermarks_[mh] = *marks;
     awaiting_watermark_.erase(mh);
@@ -147,37 +147,32 @@ McastService::McastService(net::Network& net, group::Group recipients, net::Prot
     : net_(net), recipients_(std::move(recipients)), proto_(proto) {
   stations_.reserve(net.num_mss());
   for (std::uint32_t i = 0; i < net.num_mss(); ++i) {
-    auto agent = std::make_shared<StationAgent>(*this);
-    stations_.push_back(agent);
-    net.mss(static_cast<MssId>(i)).register_agent(proto, agent);
+    net.mss(static_cast<MssId>(i)).register_agent(proto, &stations_.emplace_back(*this));
   }
-  hosts_.resize(net.num_mh());
+  hosts_.reserve(recipients_.size());
   for (const auto recipient : recipients_.members) {
-    auto agent = std::make_shared<HostAgent>(*this);
-    hosts_[net::index(recipient)] = agent;
-    net.mh(recipient).register_agent(proto, agent);
-    // Seed the initial placement's watermark (all-zero) at the starting
-    // cell so history replays there.
-    // Done lazily via deliver on first accept(); explicit seeding:
+    net.mh(recipient).register_agent(proto, &hosts_.emplace_back(*this));
   }
   for (const auto recipient : recipients_.members) {
     const auto at = net.mh(recipient).last_mss();
     // Direct seeding mirrors Network's placement (no protocol traffic).
-    stations_[net::index(at)]->seed(recipient);
+    stations_[net::index(at)].seed(recipient);
   }
 }
+
+McastService::~McastService() = default;
 
 std::uint64_t McastService::publish(net::MssId source) {
   const std::uint64_t msg_id = next_msg_id_++;
   // The monitor treats the source MSS as "no sender MH": every recipient
   // must get it exactly once.
   monitor_.sent(msg_id, net::kInvalidMh);
-  stations_[net::index(source)]->publish_local(msg_id);
+  stations_[net::index(source)].publish_local(msg_id);
   return msg_id;
 }
 
 std::size_t McastService::log_size(net::MssId at) const {
-  return stations_[net::index(at)]->log_size();
+  return stations_[net::index(at)].log_size();
 }
 
 }  // namespace mobidist::multicast

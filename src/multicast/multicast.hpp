@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "group/group.hpp"
@@ -35,6 +34,7 @@ class McastService {
   /// `recipients` is the static delivery list (any subset of the MHs).
   McastService(net::Network& net, group::Group recipients,
                net::ProtocolId proto = net::protocol::kUserBase + 7);
+  ~McastService();
 
   /// Publish one message from `source` MSS. Returns the message id used
   /// with the delivery monitor. Callable from inside the simulation.
@@ -65,8 +65,10 @@ class McastService {
   group::Group recipients_;
   group::DeliveryMonitor monitor_;
   net::ProtocolId proto_;
-  std::vector<std::shared_ptr<StationAgent>> stations_;
-  std::vector<std::shared_ptr<HostAgent>> hosts_;
+  // Stations by MSS, hosts by recipient; sized once, so registered
+  // pointers stay valid.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   std::uint64_t next_msg_id_ = 1;  ///< global id for the monitor
 };
 

@@ -62,20 +62,21 @@ L1Mutex::L1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
   const std::uint32_t n = net.num_mh();
   agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto agent = std::make_shared<Agent>(i, n, monitor, opts);
-    agents_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexL1, agent);
+    auto& agent = agents_.emplace_back(i, n, monitor, opts);
+    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexL1, &agent);
   }
 }
 
+L1Mutex::~L1Mutex() = default;
+
 void L1Mutex::request(MhId mh) {
   monitor_.note_request(mh, net_.sched().now());
-  agents_[net::index(mh)]->local_request();
+  agents_[net::index(mh)].local_request();
 }
 
 std::uint64_t L1Mutex::completed() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& agent : agents_) total += agent->completed();
+  for (const auto& agent : agents_) total += agent.completed();
   return total;
 }
 

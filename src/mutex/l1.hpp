@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mutex/lamport_engine.hpp"
@@ -26,6 +25,7 @@ namespace mobidist::mutex {
 class L1Mutex {
  public:
   L1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts = {});
+  ~L1Mutex();
 
   /// Ask for one CS execution on behalf of `mh`. If the MH is between
   /// cells the request waits until it lands.
@@ -38,7 +38,8 @@ class L1Mutex {
   class Agent;
   net::Network& net_;
   CsMonitor& monitor_;
-  std::vector<std::shared_ptr<Agent>> agents_;
+  // Indexed by MH; sized once, so registered pointers stay valid.
+  std::vector<Agent> agents_;
 };
 
 }  // namespace mobidist::mutex

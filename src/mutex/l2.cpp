@@ -123,32 +123,32 @@ L2Mutex::L2Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {
-    auto agent = std::make_shared<StationAgent>(i, m, monitor);
-    stations_.push_back(agent);
-    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexL2, agent);
+    auto& agent = stations_.emplace_back(i, m, monitor);
+    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexL2, &agent);
   }
   hosts_.reserve(net.num_mh());
   for (std::uint32_t i = 0; i < net.num_mh(); ++i) {
-    auto agent = std::make_shared<HostAgent>(monitor, opts);
-    hosts_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexL2, agent);
+    auto& agent = hosts_.emplace_back(monitor, opts);
+    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexL2, &agent);
   }
 }
 
+L2Mutex::~L2Mutex() = default;
+
 void L2Mutex::request(MhId mh) {
   monitor_.note_request(mh, net_.sched().now());
-  hosts_[net::index(mh)]->local_request();
+  hosts_[net::index(mh)].local_request();
 }
 
 std::uint64_t L2Mutex::completed() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& station : stations_) total += station->completed();
+  for (const auto& station : stations_) total += station.completed();
   return total;
 }
 
 std::uint64_t L2Mutex::aborted() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& station : stations_) total += station->aborted();
+  for (const auto& station : stations_) total += station.aborted();
   return total;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mutex/lamport_engine.hpp"
@@ -53,6 +52,7 @@ struct L2Wire {
 class L2Mutex {
  public:
   L2Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts = {});
+  ~L2Mutex();
 
   /// Ask for one CS execution on behalf of `mh`.
   void request(net::MhId mh);
@@ -67,8 +67,9 @@ class L2Mutex {
   class HostAgent;
   net::Network& net_;
   CsMonitor& monitor_;
-  std::vector<std::shared_ptr<StationAgent>> stations_;
-  std::vector<std::shared_ptr<HostAgent>> hosts_;
+  // Indexed by MSS and by MH; sized once, so registered pointers stay valid.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
 };
 
 }  // namespace mobidist::mutex

@@ -221,26 +221,26 @@ PathRevMutex::PathRevMutex(net::Network& net, CsMonitor& monitor, MutexOptions o
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {
-    auto agent = std::make_shared<StationAgent>(*this, i);
-    stations_.push_back(agent);
-    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexPathRev, agent);
+    auto& agent = stations_.emplace_back(*this, i);
+    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexPathRev, &agent);
   }
   hosts_.reserve(net.num_mh());
   for (std::uint32_t i = 0; i < net.num_mh(); ++i) {
-    auto agent = std::make_shared<HostAgent>(*this, monitor, opts);
-    hosts_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexPathRev, agent);
+    auto& agent = hosts_.emplace_back(*this, monitor, opts);
+    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexPathRev, &agent);
   }
 }
 
+PathRevMutex::~PathRevMutex() = default;
+
 void PathRevMutex::request(MhId mh) {
   monitor_.note_request(mh, net_.sched().now());
-  hosts_[net::index(mh)]->local_request();
+  hosts_[net::index(mh)].local_request();
 }
 
 std::uint64_t PathRevMutex::queued_total() const {
   std::uint64_t total = 0;
-  for (const auto& station : stations_) total += station->engine().queued();
+  for (const auto& station : stations_) total += station.engine().queued();
   return total;
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mutex/monitor.hpp"
@@ -221,6 +220,7 @@ struct PathRevReturn {
 class PathRevMutex {
  public:
   PathRevMutex(net::Network& net, CsMonitor& monitor, MutexOptions opts = {});
+  ~PathRevMutex();
 
   /// Submit a CS request on behalf of `mh` at its current MSS.
   void request(net::MhId mh);
@@ -254,8 +254,9 @@ class PathRevMutex {
 
   net::Network& net_;
   CsMonitor& monitor_;
-  std::vector<std::shared_ptr<StationAgent>> stations_;
-  std::vector<std::shared_ptr<HostAgent>> hosts_;
+  // Indexed by MSS and by MH; sized once, so registered pointers stay valid.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   std::uint64_t completed_ = 0;
   std::uint64_t transfers_ = 0;  ///< token-movement serial (events' arg)
   // Registry-backed tree-path counters; the accessors above read them.

@@ -89,25 +89,26 @@ R1Mutex::R1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts)
   const std::uint32_t n = net.num_mh();
   agents_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    auto agent = std::make_shared<Agent>(*this, i, n, monitor, opts);
-    agents_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexR1, agent);
+    auto& agent = agents_.emplace_back(*this, i, n, monitor, opts);
+    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexR1, &agent);
   }
 }
 
+R1Mutex::~R1Mutex() = default;
+
 void R1Mutex::start_token(std::uint64_t traversals) {
   target_traversals_ = traversals;
-  agents_[0]->inject(traversals);
+  agents_[0].inject(traversals);
 }
 
 void R1Mutex::request(MhId mh) {
   monitor_.note_request(mh, net_.sched().now());
-  agents_[net::index(mh)]->want_cs();
+  agents_[net::index(mh)].want_cs();
 }
 
 std::uint64_t R1Mutex::completed() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& agent : agents_) total += agent->completed();
+  for (const auto& agent : agents_) total += agent.completed();
   return total;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mutex/monitor.hpp"
@@ -30,6 +29,7 @@ struct R1Token {
 class R1Mutex {
  public:
   R1Mutex(net::Network& net, CsMonitor& monitor, MutexOptions opts = {});
+  ~R1Mutex();
 
   /// Launch the token for `traversals` loops, starting at MH 0.
   void start_token(std::uint64_t traversals);
@@ -48,7 +48,8 @@ class R1Mutex {
   class Agent;
   net::Network& net_;
   CsMonitor& monitor_;
-  std::vector<std::shared_ptr<Agent>> agents_;
+  // Indexed by MH; sized once, so registered pointers stay valid.
+  std::vector<Agent> agents_;
   std::uint64_t target_traversals_ = 0;
   std::uint64_t traversals_done_ = 0;
   bool absorbed_ = false;

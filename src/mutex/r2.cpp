@@ -235,31 +235,31 @@ R2Mutex::R2Mutex(net::Network& net, CsMonitor& monitor, RingVariant variant,
   const std::uint32_t m = net.num_mss();
   stations_.reserve(m);
   for (std::uint32_t i = 0; i < m; ++i) {
-    auto agent = std::make_shared<StationAgent>(*this, i, m);
-    stations_.push_back(agent);
-    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexR2, agent);
+    auto& agent = stations_.emplace_back(*this, i, m);
+    net.mss(static_cast<MssId>(i)).register_agent(net::protocol::kMutexR2, &agent);
   }
   hosts_.reserve(net.num_mh());
   for (std::uint32_t i = 0; i < net.num_mh(); ++i) {
-    auto agent = std::make_shared<HostAgent>(*this, monitor, opts);
-    hosts_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexR2, agent);
+    auto& agent = hosts_.emplace_back(*this, monitor, opts);
+    net.mh(static_cast<MhId>(i)).register_agent(net::protocol::kMutexR2, &agent);
   }
 }
 
+R2Mutex::~R2Mutex() = default;
+
 void R2Mutex::start_token(std::uint64_t max_traversals) {
   target_traversals_ = max_traversals;
-  stations_[0]->inject(R2Token{});
+  stations_[0].inject(R2Token{});
 }
 
 void R2Mutex::request(MhId mh) {
   monitor_.note_request(mh, net_.sched().now());
-  hosts_[net::index(mh)]->local_request();
+  hosts_[net::index(mh)].local_request();
 }
 
 void R2Mutex::set_malicious(MhId mh, bool value) {
   if (value) any_malicious_ = true;
-  hosts_[net::index(mh)]->set_malicious(value);
+  hosts_[net::index(mh)].set_malicious(value);
 }
 
 const char* R2Mutex::variant_label() const noexcept {
@@ -286,7 +286,7 @@ void R2Mutex::record_grant(std::uint64_t token_val, MhId mh) {
 
 bool R2Mutex::all_queues_empty() const {
   for (const auto& station : stations_) {
-    if (station->queued() != 0) return false;
+    if (station.queued() != 0) return false;
   }
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -66,6 +65,7 @@ class R2Mutex {
  public:
   R2Mutex(net::Network& net, CsMonitor& monitor, RingVariant variant,
           MutexOptions opts = {});
+  ~R2Mutex();
 
   /// Inject the token at MSS 0 and circulate for `max_traversals` loops.
   void start_token(std::uint64_t max_traversals);
@@ -118,8 +118,9 @@ class R2Mutex {
   net::Network& net_;
   CsMonitor& monitor_;
   RingVariant variant_;
-  std::vector<std::shared_ptr<StationAgent>> stations_;
-  std::vector<std::shared_ptr<HostAgent>> hosts_;
+  // Indexed by MSS and by MH; sized once, so registered pointers stay valid.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   std::uint64_t target_traversals_ = 0;
   std::uint64_t traversals_done_ = 0;
   std::uint64_t completed_ = 0;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <any>
 #include <functional>
 #include <vector>
 
@@ -27,7 +26,8 @@ enum class SendPolicy : std::uint8_t {
 };
 
 /// Algorithm code that lives on a fixed host (MSS). One agent instance
-/// per (MSS, protocol); the substrate invokes the callbacks below.
+/// per (MSS, protocol); the substrate invokes the callbacks below. The
+/// algorithm that builds an agent owns it; the host only points at it.
 ///
 /// All callbacks run inside the simulation loop; agents may send
 /// messages and schedule timers from any of them.
@@ -66,12 +66,12 @@ class MssAgent {
   /// tracking disconnected-but-located members drop them now.
   virtual void on_disconnected_mh_migrated(MhId /*mh*/, MssId /*new_mss*/) {}
 
-  /// Produce state to hand to the MH's next MSS; return an empty
-  /// std::any if this protocol keeps no per-MH state.
-  virtual std::any on_handoff_out(MhId /*mh*/) { return {}; }
+  /// Produce state to hand to the MH's next MSS; return an empty Body
+  /// if this protocol keeps no per-MH state.
+  virtual Body on_handoff_out(MhId /*mh*/) { return {}; }
 
   /// Receive state handed over from the MH's previous MSS.
-  virtual void on_handoff_in(MhId /*mh*/, MssId /*from*/, const std::any& /*state*/) {}
+  virtual void on_handoff_in(MhId /*mh*/, MssId /*from*/, const Body& /*state*/) {}
 
   /// A send_to_mh with SendPolicy::kNotifyIfDisconnected found the MH
   /// disconnected; the undelivered body comes back.
@@ -110,7 +110,7 @@ class MssAgent {
   ProtocolId proto_ = 0;
 };
 
-/// Algorithm code that lives on a mobile host.
+/// Algorithm code that lives on a mobile host, owned like an MssAgent.
 class MhAgent {
  public:
   virtual ~MhAgent() = default;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <map>
 
@@ -63,7 +62,7 @@ struct HandoffRequest {
 struct HandoffState {
   MhId mh = kInvalidMh;
   MssId prev_mss = kInvalidMss;
-  std::map<ProtocolId, std::any> state;
+  std::map<ProtocolId, Body> state;
 };
 
 /// Broadcast search query (SearchMode::kBroadcast): "is `target` local

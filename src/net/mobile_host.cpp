@@ -9,22 +9,24 @@ namespace mobidist::net {
 
 MobileHost::MobileHost(Network& net, MhId id) : net_(net), id_(id) {}
 
-void MobileHost::register_agent(ProtocolId proto, std::shared_ptr<MhAgent> agent) {
-  if (!agent) throw std::invalid_argument("MobileHost::register_agent: null agent");
-  agent->attach(net_, id_, proto);
-  if (!agents_.emplace(proto, std::move(agent)).second) {
+void MobileHost::register_agent(ProtocolId proto, MhAgent* agent) {
+  if (agent == nullptr) {
+    throw std::invalid_argument("MobileHost::register_agent: null agent");
+  }
+  auto& slots = net_.agent_table(proto).mh;
+  if (slots.empty()) slots.resize(net_.num_mh());
+  MhAgent*& slot = slots[index(id_)];
+  if (slot != nullptr) {
     throw std::invalid_argument("MobileHost::register_agent: duplicate protocol " +
                                 std::to_string(proto));
   }
+  agent->attach(net_, id_, proto);
+  slot = agent;
 }
 
 MhAgent* MobileHost::agent(ProtocolId proto) const noexcept {
-  const auto it = agents_.find(proto);
-  return it == agents_.end() ? nullptr : it->second.get();
-}
-
-void MobileHost::start_agents() {
-  for (auto& [proto, agent] : agents_) agent->on_start();
+  const auto* table = net_.find_agent_table(proto);
+  return table == nullptr ? nullptr : table->at(id_);
 }
 
 void MobileHost::move_to(MssId target, sim::Duration transit) {
@@ -42,7 +44,7 @@ void MobileHost::move_to(MssId target, sim::Duration transit) {
   prev_mss_ = mss_;
   state_ = MhState::kInTransit;
   downlink_seq_seen_ = 0;
-  for (auto& [proto, agent] : agents_) agent->on_left_cell();
+  net_.for_each_agent(id_, [](MhAgent& agent) { agent.on_left_cell(); });
   net_.sched().schedule(transit, [this, target]() {
     net_.submit_join(id_, target, msg::Join{id_, prev_mss_, /*reconnect=*/false});
   });
@@ -58,7 +60,7 @@ void MobileHost::disconnect() {
                         msg::Disconnect{id_, downlink_seq_seen_, joins_completed_}));
   state_ = MhState::kDisconnected;  // mss_ keeps the flag location
   downlink_seq_seen_ = 0;
-  for (auto& [proto, agent] : agents_) agent->on_left_cell();
+  net_.for_each_agent(id_, [](MhAgent& agent) { agent.on_left_cell(); });
 }
 
 void MobileHost::reconnect_at(MssId target, sim::Duration delay, bool supply_prev) {
@@ -78,10 +80,10 @@ void MobileHost::complete_join(MssId at) {
   mss_ = at;
   downlink_seq_seen_ = 0;
   ++joins_completed_;
-  for (auto& [proto, agent] : agents_) {
-    agent->on_joined_cell(at);
-    agent->run_parked();
-  }
+  net_.for_each_agent(id_, [at](MhAgent& agent) {
+    agent.on_joined_cell(at);
+    agent.run_parked();
+  });
 }
 
 void MobileHost::send_relay(MhId dst, ProtocolId inner_proto, Body body, bool fifo) {

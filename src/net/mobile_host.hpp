@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 
 #include "net/agent.hpp"
 #include "net/envelope.hpp"
@@ -23,7 +22,8 @@ enum class MhState : std::uint8_t {
 
 /// A mobile host. Owns the MH side of the §2 protocol: leave(r)/join,
 /// disconnect(r)/reconnect, doze mode, and the FIFO resequencer for the
-/// MH-to-MH relay service. Algorithm behaviour comes from MhAgents.
+/// MH-to-MH relay service. Algorithm behaviour comes from MhAgents,
+/// found through the Network's per-protocol agent tables.
 class MobileHost {
  public:
   MobileHost(Network& net, MhId id);
@@ -58,7 +58,10 @@ class MobileHost {
   [[nodiscard]] bool dozing() const noexcept { return dozing_; }
 
   /// Register an agent for `proto`. Must happen before Network::start().
-  void register_agent(ProtocolId proto, std::shared_ptr<MhAgent> agent);
+  /// The caller keeps ownership; `agent` must outlive every dispatch.
+  /// Throws std::invalid_argument for a null agent or a second agent
+  /// under the same protocol.
+  void register_agent(ProtocolId proto, MhAgent* agent);
   /// The agent registered for `proto`; nullptr if none.
   [[nodiscard]] MhAgent* agent(ProtocolId proto) const noexcept;
 
@@ -91,9 +94,6 @@ class MobileHost {
   /// MhAgent::send_to_mh; requires connected().
   void send_relay(MhId dst, ProtocolId inner_proto, Body body, bool fifo);
 
-  /// Fire on_start on all registered agents (called by Network::start).
-  void start_agents();
-
  private:
   friend class Network;
   friend class Mss;
@@ -110,8 +110,6 @@ class MobileHost {
   bool dozing_ = false;
   std::uint64_t downlink_seq_seen_ = 0;  ///< r: last downlink seq received here
   std::uint64_t joins_completed_ = 0;
-
-  std::map<ProtocolId, std::shared_ptr<MhAgent>> agents_;
 
   // Relay FIFO machinery: per-destination send sequence numbers and a
   // per-source resequencing buffer (next expected seq + held payloads).

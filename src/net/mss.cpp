@@ -9,22 +9,20 @@ namespace mobidist::net {
 
 Mss::Mss(Network& net, MssId id) : net_(net), id_(id) {}
 
-void Mss::register_agent(ProtocolId proto, std::shared_ptr<MssAgent> agent) {
-  if (!agent) throw std::invalid_argument("Mss::register_agent: null agent");
-  agent->attach(net_, id_, proto);
-  if (!agents_.emplace(proto, std::move(agent)).second) {
+void Mss::register_agent(ProtocolId proto, MssAgent* agent) {
+  if (agent == nullptr) throw std::invalid_argument("Mss::register_agent: null agent");
+  MssAgent*& slot = net_.agent_table(proto).mss[index(id_)];
+  if (slot != nullptr) {
     throw std::invalid_argument("Mss::register_agent: duplicate protocol " +
                                 std::to_string(proto));
   }
+  agent->attach(net_, id_, proto);
+  slot = agent;
 }
 
 MssAgent* Mss::agent(ProtocolId proto) const noexcept {
-  const auto it = agents_.find(proto);
-  return it == agents_.end() ? nullptr : it->second.get();
-}
-
-void Mss::start_agents() {
-  for (auto& [proto, agent] : agents_) agent->on_start();
+  const auto* table = net_.find_agent_table(proto);
+  return table == nullptr ? nullptr : table->at(id_);
 }
 
 std::vector<MhId> Mss::local_mhs() const {
@@ -130,10 +128,10 @@ void Mss::handle_join(const msg::Join& join) {
     }
   }
 
-  for (auto& [proto, agent] : agents_) {
-    agent->on_mh_joined(join.mh, join.prev_mss);
-    if (join.reconnect) agent->on_mh_reconnected(join.mh, join.prev_mss);
-  }
+  net_.for_each_agent(id_, [&join](MssAgent& agent) {
+    agent.on_mh_joined(join.mh, join.prev_mss);
+    if (join.reconnect) agent.on_mh_reconnected(join.mh, join.prev_mss);
+  });
   net_.on_mh_rejoined(join.mh, id_);
 }
 
@@ -166,7 +164,8 @@ void Mss::handle_disconnect(const msg::Disconnect& disc) {
   // on_mh_disconnected rather than on_mh_left.
   record.local = false;
   record.disconnected = true;
-  for (auto& [proto, agent] : agents_) agent->on_mh_disconnected(disc.mh);
+  net_.for_each_agent(id_,
+                      [&disc](MssAgent& agent) { agent.on_mh_disconnected(disc.mh); });
 }
 
 void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
@@ -183,9 +182,9 @@ void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
   }
   if (req.clears_disconnect && record.disconnected) {
     record.disconnected = false;
-    for (auto& [proto, agent] : agents_) {
-      agent->on_disconnected_mh_migrated(req.mh, req.new_mss);
-    }
+    net_.for_each_agent(id_, [&req](MssAgent& agent) {
+      agent.on_disconnected_mh_migrated(req.mh, req.new_mss);
+    });
   }
   if (record.awaiting_handoff_in) {
     // We have not yet received this MH's state from *its* previous MSS;
@@ -198,9 +197,11 @@ void Mss::handle_handoff_request(const msg::HandoffRequest& req) {
 
 void Mss::send_handoff_state(MhId mh, MssId new_mss) {
   msg::HandoffState state{mh, id_, {}};
-  for (auto& [proto, agent] : agents_) {
-    std::any blob = agent->on_handoff_out(mh);
-    if (blob.has_value()) state.state.emplace(proto, std::move(blob));
+  for (const auto& [proto, table] : net_.agent_tables_) {
+    if (MssAgent* agent = table.at(id_)) {
+      Body blob = agent->on_handoff_out(mh);
+      if (blob.has_value()) state.state.emplace(proto, std::move(blob));
+    }
   }
   net_.send_wired(id_, new_mss, make_control(NodeRef(id_), NodeRef(new_mss), std::move(state)));
 }
@@ -230,7 +231,7 @@ void Mss::handle_relay(const Envelope& env) {
 
 void Mss::remove_local(MhId mh) {
   net_.cell_record(id_, mh).local = false;
-  for (auto& [proto, agent] : agents_) agent->on_mh_left(mh);
+  net_.for_each_agent(id_, [mh](MssAgent& agent) { agent.on_mh_left(mh); });
 }
 
 }  // namespace mobidist::net

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <any>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "net/agent.hpp"
@@ -18,7 +16,8 @@ class Network;
 /// control protocol of Section 2 over its cell's bookkeeping: the
 /// local-MH list and per-MH "disconnected" flags, which live in the
 /// Network's per-slice cell records. Algorithm behaviour is supplied by
-/// registered MssAgent instances.
+/// registered MssAgent instances, found through the Network's
+/// per-protocol agent tables.
 class Mss {
  public:
   Mss(Network& net, MssId id);
@@ -30,7 +29,10 @@ class Mss {
   [[nodiscard]] MssId id() const noexcept { return id_; }
 
   /// Register an agent for `proto`. Must happen before Network::start().
-  void register_agent(ProtocolId proto, std::shared_ptr<MssAgent> agent);
+  /// The caller keeps ownership; `agent` must outlive every dispatch.
+  /// Throws std::invalid_argument for a null agent or a second agent
+  /// under the same protocol.
+  void register_agent(ProtocolId proto, MssAgent* agent);
 
   /// The agent registered for `proto`; nullptr if none.
   [[nodiscard]] MssAgent* agent(ProtocolId proto) const noexcept;
@@ -49,9 +51,6 @@ class Mss {
   /// (kSystem control, kRelay) are handled here; everything else goes to
   /// the registered agent.
   void dispatch(const Envelope& env);
-
-  /// Fire on_start on all registered agents (called by Network::start).
-  void start_agents();
 
   /// Direct placement during setup (no protocol traffic); also used by
   /// tests to build fixtures.
@@ -76,9 +75,6 @@ class Mss {
 
   Network& net_;
   MssId id_;
-  // Deterministic iteration order matters: joins/leaves notify agents in
-  // ascending protocol id.
-  std::map<ProtocolId, std::shared_ptr<MssAgent>> agents_;
   // Handoff races: a HandoffRequest that arrives while we are still
   // waiting for this MH's state from *its* previous MSS (the record's
   // awaiting_handoff_in flag) is deferred until that state lands.

@@ -227,11 +227,23 @@ void Network::begin_crash(const fault::MssCrash& crash) {
   }
 }
 
+Network::AgentTable& Network::agent_table(ProtocolId proto) {
+  auto [it, added] = agent_tables_.try_emplace(proto);
+  if (added) it->second.mss.resize(cfg_.num_mss);
+  return it->second;
+}
+
+const Network::AgentTable* Network::find_agent_table(ProtocolId proto) const noexcept {
+  const auto it = agent_tables_.find(proto);
+  return it == agent_tables_.end() ? nullptr : &it->second;
+}
+
 void Network::start() {
   if (started_) return;
   started_ = true;
-  for (auto& station : mss_) station->start_agents();
-  for (auto& host : mh_) host->start_agents();
+  const auto start = [](auto& agent) { agent.on_start(); };
+  for (const auto& station : mss_) for_each_agent(station->id(), start);
+  for (const auto& host : mh_) for_each_agent(host->id(), start);
 }
 
 std::uint64_t Network::run(std::uint64_t event_limit) {
@@ -255,7 +267,6 @@ std::uint64_t Network::run_sharded(std::uint64_t event_limit) {
       std::move(scheds), lookahead(),
       [](std::uint32_t shard) { tls_shard_ = shard; });
   const auto fired = group_->run(event_limit);
-  tls_shard_ = 0;  // the single-shard inline run reassigned the caller's slot
   // Fold every shard's measurement state into slice 0, so the ordinary
   // accessors (metrics(), ledger(), stats()) read group-wide totals
   // from the main thread after the run. Event streams stay per-shard:

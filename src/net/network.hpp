@@ -1,6 +1,5 @@
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -657,6 +656,31 @@ class Network {
   /// for this MH, oldest first.
   void on_mh_rejoined(MhId mh, MssId at);
 
+  /// One protocol's agents: a slot per MSS and, once the protocol
+  /// registers an MH agent, a slot per MH; nullptr where a host runs
+  /// none. The slots point at agents their algorithm owns.
+  struct AgentTable {
+    std::vector<MssAgent*> mss;
+    std::vector<MhAgent*> mh;
+
+    [[nodiscard]] MssAgent* at(MssId host) const noexcept { return mss[index(host)]; }
+    [[nodiscard]] MhAgent* at(MhId host) const noexcept {
+      return mh.empty() ? nullptr : mh[index(host)];
+    }
+  };
+  /// The table of `proto`, added on first use.
+  [[nodiscard]] AgentTable& agent_table(ProtocolId proto);
+  /// The table of `proto`; nullptr when nothing registered under it.
+  [[nodiscard]] const AgentTable* find_agent_table(ProtocolId proto) const noexcept;
+  /// Run `fn` on each agent of `host` (an MssId or a MhId) in ascending
+  /// protocol id, the order every notification follows.
+  template <typename Host, typename Fn>
+  void for_each_agent(Host host, Fn&& fn) const {
+    for (const auto& [proto, table] : agent_tables_) {
+      if (auto* agent = table.at(host)) fn(*agent);
+    }
+  }
+
   NetConfig cfg_;
   sim::Rng rng_;
   /// One slice for the legacy engine, min(shards, num_mss) for the
@@ -682,6 +706,8 @@ class Network {
 
   std::vector<std::unique_ptr<Mss>> mss_;
   std::vector<std::unique_ptr<MobileHost>> mh_;
+  /// Every registered protocol's agents, in ascending protocol id.
+  std::map<ProtocolId, AgentTable> agent_tables_;
 
   /// Work waiting for a MH's next join, oldest first: searches that
   /// found it in transit, and eventual-delivery messages that found it

@@ -145,17 +145,15 @@ ProxyService::ProxyService(net::Network& net, ProxyOptions opts, net::ProtocolId
   }
   stations_.reserve(net.num_mss());
   for (std::uint32_t i = 0; i < net.num_mss(); ++i) {
-    auto agent = std::make_shared<StationAgent>(*this);
-    stations_.push_back(agent);
-    net.mss(static_cast<MssId>(i)).register_agent(proto, agent);
+    net.mss(static_cast<MssId>(i)).register_agent(proto, &stations_.emplace_back(*this));
   }
   hosts_.reserve(net.num_mh());
   for (std::uint32_t i = 0; i < net.num_mh(); ++i) {
-    auto agent = std::make_shared<HostAgent>(*this);
-    hosts_.push_back(agent);
-    net.mh(static_cast<MhId>(i)).register_agent(proto, agent);
+    net.mh(static_cast<MhId>(i)).register_agent(proto, &hosts_.emplace_back(*this));
   }
 }
+
+ProxyService::~ProxyService() = default;
 
 MssId ProxyService::proxy_of(MhId mh) const {
   if (opts_.scope == ProxyScope::kLocalMss) {
@@ -166,11 +164,11 @@ MssId ProxyService::proxy_of(MhId mh) const {
 }
 
 void ProxyService::client_send(MhId mh, std::any body) {
-  hosts_[net::index(mh)]->client_send(std::move(body));
+  hosts_[net::index(mh)].client_send(std::move(body));
 }
 
 void ProxyService::proxy_send(MssId proxy, MhId mh, std::any body, net::SendPolicy policy) {
-  auto& station = *stations_[net::index(proxy)];
+  auto& station = stations_[net::index(proxy)];
   Down down{mh, proxy, std::move(body), policy};
   if (opts_.scope == ProxyScope::kLocalMss) {
     // The MH is supposed to be local; a miss triggers the search
@@ -192,7 +190,7 @@ void ProxyService::proxy_send(MssId proxy, MhId mh, std::any body, net::SendPoli
 }
 
 void ProxyService::peer_send(MssId from, MssId to, std::any body) {
-  stations_[net::index(from)]->do_send_wired(to, Peer{std::move(body)});
+  stations_[net::index(from)].do_send_wired(to, Peer{std::move(body)});
 }
 
 }  // namespace mobidist::proxy

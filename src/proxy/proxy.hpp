@@ -3,7 +3,6 @@
 #include <any>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/network.hpp"
@@ -63,6 +62,7 @@ class ProxyService {
 
   ProxyService(net::Network& net, ProxyOptions opts,
                net::ProtocolId proto = net::protocol::kProxy);
+  ~ProxyService();
 
   /// Install the MH-to-proxy upcall handler.
   void set_proxy_handler(ProxyHandler handler) { proxy_handler_ = std::move(handler); }
@@ -110,8 +110,9 @@ class ProxyService {
   net::ProtocolId proto_;
   std::vector<net::MssId> home_;        ///< per-MH fixed/lazy home proxy
   std::vector<net::MssId> cached_loc_;  ///< proxy's view of the MH's cell
-  std::vector<std::shared_ptr<StationAgent>> stations_;
-  std::vector<std::shared_ptr<HostAgent>> hosts_;
+  // Indexed by MSS and by MH; sized once, so registered pointers stay valid.
+  std::vector<StationAgent> stations_;
+  std::vector<HostAgent> hosts_;
   ProxyHandler proxy_handler_;
   ClientHandler client_handler_;
   PeerHandler peer_handler_;

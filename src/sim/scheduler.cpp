@@ -103,6 +103,9 @@ void Scheduler::append(std::size_t bucket, std::uint32_t slot) noexcept {
 }
 
 std::uint32_t Scheduler::unlink_front(std::size_t bucket) noexcept {
+  // Every unlink spends one ring entry, so a walk that unlinks from the
+  // front (next_time's corpse loop) ends within ring_size_ steps.
+  assert(ring_size_ != 0 && "Scheduler: ring count underflows");
   Bucket& b = ring_[bucket];
   const std::uint32_t slot = b.head;
   b.head = link(slot).next;
@@ -119,6 +122,9 @@ std::size_t Scheduler::first_bucket() const noexcept {
   const std::size_t start = now_ % kWheel;
   std::size_t w = start / 64;
   std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+  // With some bucket occupied, the scan ends within one wrap.
+  assert(std::any_of(occupied_.begin(), occupied_.end(),
+                     [](std::uint64_t word) { return word != 0; }));
   while (bits == 0) {
     w = (w + 1) % occupied_.size();
     bits = occupied_[w];
@@ -158,11 +164,15 @@ void Scheduler::compact() {
   // before their slots are freed, then restore the heap invariant
   // bottom-up. O(queue) — amortized against the cancels that created the
   // corpses, and it keeps queue_depth() <= 2 * pending() + kCompactFloor.
+  [[maybe_unused]] const std::size_t ring_entries = ring_size_;
+  [[maybe_unused]] std::size_t walked = 0;  // chain links, one per ring entry
   for (std::size_t bucket = 0; bucket < kWheel; ++bucket) {
     Bucket& b = ring_[bucket];
     std::uint32_t slot = b.head;
     b = Bucket{};
     while (slot != kNoSlot) {
+      ++walked;
+      assert(walked <= ring_entries && "Scheduler: a bucket chain loops");
       const std::uint32_t next = link(slot).next;
       --ring_size_;
       if (is_pending(slot)) {

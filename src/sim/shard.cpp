@@ -1,11 +1,9 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <barrier>
 #include <cassert>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -43,7 +41,6 @@ std::uint64_t ShardGroup::total_fired() const noexcept {
 }
 
 bool ShardGroup::open_window(std::uint64_t event_limit) {
-  // Barrier point: all workers idle, so every outbox is quiescent.
   for (auto& box : outbox_) {
     if (box.empty()) continue;
     pending_.insert(pending_.end(), std::make_move_iterator(box.begin()),
@@ -96,58 +93,46 @@ std::uint64_t ShardGroup::run(std::uint64_t event_limit) {
   hit_limit_ = false;
   windows_ = 0;
   const std::uint64_t fired_before = total_fired();
-
-  if (shards_.size() == 1) {
-    // Single shard: same window protocol (identical boundary sequence and
-    // mailbox injection order), executed inline without threads.
-    if (on_worker_) on_worker_(0);
-    while (open_window(event_limit)) shards_[0]->run_until(horizon_ - 1);
-    return total_fired() - fired_before;
-  }
-
   const auto n = static_cast<std::uint32_t>(shards_.size());
-  std::barrier window_start(n + 1);
-  std::barrier window_done(n + 1);
-  std::atomic<bool> stop{false};
-  std::exception_ptr failure;
-  std::mutex failure_mu;
 
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    workers.emplace_back([&, i] {
-      if (on_worker_) on_worker_(i);
-      for (;;) {
-        window_start.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) return;
-        try {
-          shards_[i]->run_until(horizon_ - 1);
-        } catch (...) {
-          const std::scoped_lock lock(failure_mu);
-          if (!failure) failure = std::current_exception();
-        }
-        window_done.arrive_and_wait();
+  // Slot i holds what shard i's thread threw; slot 0 also takes a
+  // failure of the completion step.
+  std::vector<std::exception_ptr> failures(n);
+  bool open = false;  // written only by the completion step
+  // Runs on one thread while every shard waits, so the outboxes are
+  // quiescent. It must not throw: a failure closes the run instead.
+  auto open_next = [&]() noexcept {
+    open = false;
+    for (const auto& failure : failures) {
+      if (failure) return;
+    }
+    try {
+      open = open_window(event_limit);
+    } catch (...) {
+      failures[0] = std::current_exception();
+    }
+  };
+  std::barrier sync(n, open_next);
+  auto drive = [&](std::uint32_t i) {
+    if (on_worker_) on_worker_(i);
+    for (;;) {
+      sync.arrive_and_wait();
+      if (!open) return;
+      try {
+        shards_[i]->run_until(horizon_ - 1);
+      } catch (...) {
+        failures[i] = std::current_exception();
       }
-    });
-  }
+    }
+  };
 
-  for (;;) {
-    bool more = false;
-    {
-      const std::scoped_lock lock(failure_mu);
-      if (!failure) more = open_window(event_limit);
-    }
-    if (!more) {
-      stop.store(true, std::memory_order_relaxed);
-      window_start.arrive_and_wait();
-      break;
-    }
-    window_start.arrive_and_wait();
-    window_done.arrive_and_wait();
-  }
+  // The calling thread drives shard 0, so a single shard spawns nothing.
+  std::vector<std::thread> workers;
+  workers.reserve(n - 1);
+  for (std::uint32_t i = 1; i < n; ++i) workers.emplace_back(drive, i);
+  drive(0);
   for (auto& worker : workers) worker.join();
-  {
-    const std::scoped_lock lock(failure_mu);
+  for (const auto& failure : failures) {
     if (failure) std::rethrow_exception(failure);
   }
   return total_fired() - fired_before;

@@ -34,9 +34,9 @@ namespace mobidist::sim {
 /// Determinism: window boundaries are computed from the *global* minimum
 /// (even for a single-shard group), and all cross-lane traffic rides the
 /// mailbox, so the per-lane projection of the execution order is
-/// identical for every shard count. With one shard run() executes inline
-/// on the calling thread; with more it drives persistent worker threads
-/// through a pair of barriers per window.
+/// identical for every shard count. run() drives shard 0 on the calling
+/// thread and each other shard on a thread of its own; they meet at one
+/// barrier per window, whose completion step opens the next window.
 class ShardGroup {
  public:
   /// One cross-shard message: run `fn` on shard `dst_shard` at virtual
@@ -52,9 +52,9 @@ class ShardGroup {
 
   /// `shards` outlive the group; `lookahead` >= 1 is the safe window
   /// width (the wired-latency lower bound in the net layer).
-  /// `on_worker`, when set, runs once on each worker thread before it
-  /// executes any event (the Network installs its thread-local shard
-  /// index there); it is also invoked inline for the single-shard run.
+  /// `on_worker`, when set, runs once on each shard's thread, the
+  /// calling thread included, before it executes any event (the Network
+  /// installs its thread-local shard index there).
   ShardGroup(std::vector<Scheduler*> shards, Duration lookahead,
              std::function<void(std::uint32_t)> on_worker = {});
 
@@ -67,7 +67,10 @@ class ShardGroup {
   /// Returns total events fired during this call. `event_limit` != 0
   /// stops (with hit_event_limit()) once the group-wide fired() total
   /// reaches it — checked at window boundaries, so the limit is honoured
-  /// with window granularity rather than exactly.
+  /// with window granularity rather than exactly. An exception thrown by
+  /// an event or by injecting mail ends the run after the current window
+  /// and is rethrown here (the first shard's, in shard order, if several
+  /// threw).
   std::uint64_t run(std::uint64_t event_limit = 0);
 
   /// True if the last run() stopped on the event limit.
@@ -83,19 +86,19 @@ class ShardGroup {
 
  private:
   /// Compute the next window and inject deliverable mail; false when the
-  /// group is drained (or the event limit tripped). Runs on the
-  /// coordinator thread between barriers.
+  /// group is drained (or the event limit tripped). Runs in the barrier's
+  /// completion step, while every shard waits.
   bool open_window(std::uint64_t event_limit);
 
   std::vector<Scheduler*> shards_;
   Duration lookahead_;
   std::function<void(std::uint32_t)> on_worker_;
   /// Per-shard outboxes: slot i is written only by shard i's thread
-  /// during a window and drained only by the coordinator between
+  /// during a window and drained only by the completion step between
   /// windows, so no locking is needed.
   std::vector<std::vector<Mail>> outbox_;
-  /// Mail not yet deliverable (arrival >= the last horizon), owned by
-  /// the coordinator.
+  /// Mail not yet deliverable (arrival >= the last horizon), touched
+  /// only by the completion step.
   std::vector<Mail> pending_;
   SimTime horizon_ = 0;
   std::uint64_t windows_ = 0;

@@ -7,6 +7,7 @@
 // table growths rather than an allocation per event.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mutex/l2.hpp"
 #include "mutex/lamport_engine.hpp"
 #include "net/agent.hpp"
 #include "net/body.hpp"
@@ -26,7 +28,8 @@
 
 namespace {
 
-std::uint64_t g_news = 0;  // single-threaded tests: plain counter is enough
+// Atomic: the sharded-run test allocates from two shard threads at once.
+std::atomic<std::uint64_t> g_news{0};
 
 void* counted_alloc(std::size_t n) {
   ++g_news;
@@ -487,17 +490,17 @@ TEST(NetworkAlloc, EchoRoundTripDoesNotAllocateAfterWarmup) {
   cfg.num_mss = 4;
   cfg.num_mh = 64;
   net::Network net(cfg);
+  std::vector<EchoStation> stations(cfg.num_mss);
   for (std::uint32_t s = 0; s < cfg.num_mss; ++s) {
     net.mss(static_cast<net::MssId>(s))
-        .register_agent(net::protocol::kUserBase, std::make_shared<EchoStation>());
+        .register_agent(net::protocol::kUserBase, &stations[s]);
   }
-  std::vector<std::shared_ptr<EchoHost>> hosts;
+  std::vector<EchoHost> hosts(cfg.num_mh);
   for (std::uint32_t h = 0; h < cfg.num_mh; ++h) {
-    hosts.push_back(std::make_shared<EchoHost>());
-    net.mh(static_cast<net::MhId>(h)).register_agent(net::protocol::kUserBase, hosts.back());
+    net.mh(static_cast<net::MhId>(h)).register_agent(net::protocol::kUserBase, &hosts[h]);
   }
   auto one_round = [&] {
-    for (auto& host : hosts) host->ping();
+    for (auto& host : hosts) host.ping();
     net.run();
   };
 
@@ -507,8 +510,27 @@ TEST(NetworkAlloc, EchoRoundTripDoesNotAllocateAfterWarmup) {
     for (int round = 0; round < 100; ++round) one_round();
   });
   EXPECT_EQ(count, 0u) << "Network echo round trip allocated";
-  for (const auto& host : hosts) EXPECT_EQ(host->echoes, 101u);
+  for (const auto& host : hosts) EXPECT_EQ(host.echoes, 101u);
   EXPECT_EQ(net.ledger().wireless_msgs(), 2u * 64u * 101u);
+}
+
+// One owner per agent and one table per protocol: building an algorithm
+// allocates its agent vectors and its protocol's host tables once each,
+// whatever the host count. An owner holding a shared_ptr per agent, and
+// a host holding a map node per agent, made at least two allocations
+// per host.
+TEST(AgentTableAlloc, BuildingL2AllocatesTheSameAtAnyHostCount) {
+  const auto build = [](std::uint32_t num_mh) {
+    net::NetConfig cfg;
+    cfg.num_mss = 8;
+    cfg.num_mh = num_mh;
+    net::Network net(cfg);
+    mutex::CsMonitor monitor;
+    return allocations_during([&] { mutex::L2Mutex l2(net, monitor); });
+  };
+  const auto small = build(1'000);
+  EXPECT_EQ(build(10'000), small);
+  EXPECT_LT(small, 1'000u) << "fewer allocations than hosts";
 }
 
 // The single-pass checker claim: what it remembers per event lives in
@@ -576,15 +598,17 @@ TEST(TraceCheckerAlloc, ShardedEchoRunChecksInPlaceInFewAllocations) {
   cfg.num_mh = 256;
   cfg.shards = 2;
   net::Network net(cfg);
+  std::vector<EchoStation> stations(cfg.num_mss);
   for (std::uint32_t s = 0; s < cfg.num_mss; ++s) {
     net.mss(static_cast<net::MssId>(s))
-        .register_agent(net::protocol::kUserBase, std::make_shared<EchoStation>());
+        .register_agent(net::protocol::kUserBase, &stations[s]);
   }
+  std::vector<RepeatingEchoHost> hosts(cfg.num_mh, RepeatingEchoHost(700));
   for (std::uint32_t h = 0; h < cfg.num_mh; ++h) {
-    auto host = std::make_shared<RepeatingEchoHost>(700);
+    auto* host = &hosts[h];
     net.mh(static_cast<net::MhId>(h)).register_agent(net::protocol::kUserBase, host);
     net.schedule_on_lane(net.lane_of(obs::Entity::mh(h)), 1 + h % 7,
-                         [driver = host.get()] { driver->ping(); });
+                         [host] { host->ping(); });
   }
   net.run();
   ASSERT_EQ(net.events_emitted() - net.events_dropped(),

@@ -57,16 +57,20 @@ TEST(Envelope, BodyAsReturnsNullOnTypeMismatch) {
 // registration & dispatch contracts
 // --------------------------------------------------------------------------
 
+// A host holds no agent container: its agents live in the Network's
+// per-protocol tables.
+static_assert(sizeof(MobileHost) <= 144 && sizeof(Mss) <= 64);
+
 TEST(Registration, DuplicateProtocolThrows) {
   Network net(small_config());
-  auto a = std::make_shared<RecordingMssAgent>();
-  auto b = std::make_shared<RecordingMssAgent>();
-  net.mss(mss_id(0)).register_agent(kTestProto, a);
-  EXPECT_THROW(net.mss(mss_id(0)).register_agent(kTestProto, b), std::invalid_argument);
-  auto ha = std::make_shared<RecordingMhAgent>();
-  auto hb = std::make_shared<RecordingMhAgent>();
-  net.mh(mh_id(0)).register_agent(kTestProto, ha);
-  EXPECT_THROW(net.mh(mh_id(0)).register_agent(kTestProto, hb), std::invalid_argument);
+  RecordingMssAgent a;
+  RecordingMssAgent b;
+  net.mss(mss_id(0)).register_agent(kTestProto, &a);
+  EXPECT_THROW(net.mss(mss_id(0)).register_agent(kTestProto, &b), std::invalid_argument);
+  RecordingMhAgent ha;
+  RecordingMhAgent hb;
+  net.mh(mh_id(0)).register_agent(kTestProto, &ha);
+  EXPECT_THROW(net.mh(mh_id(0)).register_agent(kTestProto, &hb), std::invalid_argument);
 }
 
 TEST(Registration, NullAgentThrows) {
@@ -75,6 +79,102 @@ TEST(Registration, NullAgentThrows) {
                std::invalid_argument);
   EXPECT_THROW(net.mh(mh_id(0)).register_agent(kTestProto, nullptr),
                std::invalid_argument);
+}
+
+using Log = std::vector<std::string>;
+
+/// Station agent that logs "<name> <callback>" into a shared log and
+/// hands its name over as its handoff state.
+class OrderLogMssAgent : public MssAgent {
+ public:
+  OrderLogMssAgent(std::string name, Log& log) : name_(std::move(name)), log_(log) {}
+  void on_start() override { note("start"); }
+  void on_message(const Envelope& /*env*/) override {}
+  void on_mh_joined(MhId /*mh*/, MssId /*prev*/) override { note("joined"); }
+  void on_mh_left(MhId /*mh*/) override { note("left"); }
+  void on_mh_disconnected(MhId /*mh*/) override { note("disconnected"); }
+  void on_mh_reconnected(MhId /*mh*/, MssId /*prev*/) override { note("reconnected"); }
+  void on_disconnected_mh_migrated(MhId /*mh*/, MssId /*to*/) override {
+    note("migrated");
+  }
+  Body on_handoff_out(MhId /*mh*/) override {
+    note("handoff_out");
+    return name_;
+  }
+  void on_handoff_in(MhId /*mh*/, MssId /*from*/, const Body& state) override {
+    note("handoff_in " + *state.get<std::string>());
+  }
+
+ private:
+  void note(const std::string& what) { log_.push_back(name_ + " " + what); }
+  std::string name_;
+  Log& log_;
+};
+
+/// Host counterpart of OrderLogMssAgent.
+class OrderLogMhAgent : public MhAgent {
+ public:
+  OrderLogMhAgent(std::string name, Log& log) : name_(std::move(name)), log_(log) {}
+  void on_start() override { log_.push_back(name_ + " start"); }
+  void on_message(const Envelope& /*env*/) override {}
+  void on_joined_cell(MssId /*mss*/) override { log_.push_back(name_ + " joined"); }
+  void on_left_cell() override { log_.push_back(name_ + " left"); }
+
+ private:
+  std::string name_;
+  Log& log_;
+};
+
+// Two protocols on mss:0, mss:1 and mh:0, registered higher id first:
+// every notification still reaches A (kTestProto) before B (the next
+// id), one agent at a time, and each protocol's handoff state reaches
+// the same protocol's agent.
+TEST(Registration, NotificationsWalkProtocolsInAscendingId) {
+  Network net(small_config(3, 6));  // mh:0 starts in mss:0's cell
+  Log at_mss0;
+  Log at_mss1;
+  Log at_mh0;
+  OrderLogMssAgent a0("A", at_mss0);
+  OrderLogMssAgent b0("B", at_mss0);
+  OrderLogMssAgent a1("A", at_mss1);
+  OrderLogMssAgent b1("B", at_mss1);
+  OrderLogMhAgent ha("A", at_mh0);
+  OrderLogMhAgent hb("B", at_mh0);
+  net.mss(mss_id(0)).register_agent(kTestProto + 1, &b0);
+  net.mss(mss_id(0)).register_agent(kTestProto, &a0);
+  net.mss(mss_id(1)).register_agent(kTestProto + 1, &b1);
+  net.mss(mss_id(1)).register_agent(kTestProto, &a1);
+  net.mh(mh_id(0)).register_agent(kTestProto + 1, &hb);
+  net.mh(mh_id(0)).register_agent(kTestProto, &ha);
+  net.start();
+
+  auto& host = net.mh(mh_id(0));
+  host.move_to(mss_id(1), 20);  // mss:0 sees the leave, then hands state out
+  net.run();
+  host.move_to(mss_id(0), 20);  // back: a join, then mss:1's state comes in
+  net.run();
+  host.disconnect();
+  net.run();
+  host.reconnect_at(mss_id(1), 10);  // mss:0's flag migrates, state goes out
+  net.run();
+  host.disconnect();
+  net.run();
+  host.reconnect_at(mss_id(0), 10);  // a reconnect here, state comes in
+  net.run();
+
+  EXPECT_EQ(at_mss0, (Log{"A start",         "B start",         "A left",
+                          "B left",          "A handoff_out",   "B handoff_out",
+                          "A joined",        "B joined",        "A handoff_in A",
+                          "B handoff_in B",  "A disconnected",  "B disconnected",
+                          "A migrated",      "B migrated",      "A handoff_out",
+                          "B handoff_out",   "A joined",        "A reconnected",
+                          "B joined",        "B reconnected",   "A handoff_in A",
+                          "B handoff_in B"}));
+  EXPECT_EQ(at_mh0, (Log{"A start", "B start",  "A left",   "B left",   "A joined",
+                         "B joined", "A left",  "B left",   "A joined", "B joined",
+                         "A left",   "B left",  "A joined", "B joined", "A left",
+                         "B left",   "A joined", "B joined"}));
+  ExpectCleanEventStream(net);
 }
 
 TEST(Dispatch, UnknownProtocolAtMssThrows) {
@@ -87,9 +187,9 @@ TEST(Dispatch, UnknownProtocolAtMssThrows) {
 
 TEST(Dispatch, AgentLookupByProtocol) {
   Network net(small_config());
-  auto agent = std::make_shared<RecordingMssAgent>();
-  net.mss(mss_id(0)).register_agent(kTestProto, agent);
-  EXPECT_EQ(net.mss(mss_id(0)).agent(kTestProto), agent.get());
+  RecordingMssAgent agent;
+  net.mss(mss_id(0)).register_agent(kTestProto, &agent);
+  EXPECT_EQ(net.mss(mss_id(0)).agent(kTestProto), &agent);
   EXPECT_EQ(net.mss(mss_id(0)).agent(kTestProto + 1), nullptr);
 }
 

@@ -244,7 +244,7 @@ TEST(Mobility, HandoffTransfersAgentState) {
   net.mh(mh_id(0)).move_to(mss_id(1), 10);
   net.run();
   ASSERT_TRUE(h.mss[1]->last_handoff_in.has_value());
-  EXPECT_EQ(*std::any_cast<std::string>(&h.mss[1]->last_handoff_in), "mh0-notes");
+  EXPECT_EQ(*h.mss[1]->last_handoff_in.get<std::string>(), "mh0-notes");
 }
 
 TEST(Mobility, RapidDoubleMoveChainsHandoffState) {
@@ -267,7 +267,7 @@ TEST(Mobility, RapidDoubleMoveChainsHandoffState) {
   net.run();
   // cell1 received cell0's state...
   ASSERT_TRUE(h.mss[1]->last_handoff_in.has_value());
-  EXPECT_EQ(*std::any_cast<std::string>(&h.mss[1]->last_handoff_in), "origin-state");
+  EXPECT_EQ(*h.mss[1]->last_handoff_in.get<std::string>(), "origin-state");
   // ...and cell2 got a handoff reply from cell1 (deferred until then).
   bool got_in = false;
   for (const auto& ev : h.mss[2]->events) {
@@ -541,15 +541,15 @@ using Log = std::vector<std::string>;
 TEST(ParkedWork, RunsOnceAfterTheJoinOldestFirst) {
   Network net(small_config(3, 6));
   Log log;
-  auto agent = std::make_shared<ParkingMhAgent>("a", log);
-  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  ParkingMhAgent agent("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, &agent);
   net.start();
-  agent->park("now");  // connected: runs at once
+  agent.park("now");  // connected: runs at once
   EXPECT_EQ(log, (Log{"a now"}));
 
   net.mh(mh_id(0)).move_to(mss_id(1), 20);
-  agent->park("first");
-  agent->park("second");
+  agent.park("first");
+  agent.park("second");
   net.sched().run_until(15);  // mid-transit: nothing runs
   EXPECT_EQ(log, (Log{"a now"}));
   net.run();
@@ -564,12 +564,12 @@ TEST(ParkedWork, RunsOnceAfterTheJoinOldestFirst) {
 TEST(ParkedWork, RunsAfterAReconnect) {
   Network net(small_config(3, 6));
   Log log;
-  auto agent = std::make_shared<ParkingMhAgent>("a", log);
-  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  ParkingMhAgent agent("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, &agent);
   net.start();
   net.mh(mh_id(0)).disconnect();
-  agent->park("first");
-  net.sched().schedule(50, [&] { agent->park("second"); });
+  agent.park("first");
+  net.sched().schedule(50, [&] { agent.park("second"); });
   net.sched().schedule(60, [&] { net.mh(mh_id(0)).reconnect_at(mss_id(2), 10); });
   net.sched().run_until(65);
   EXPECT_TRUE(log.empty());
@@ -580,16 +580,16 @@ TEST(ParkedWork, RunsAfterAReconnect) {
 TEST(ParkedWork, EachAgentsHookAndWorkRunBeforeTheNextAgentsInProtocolOrder) {
   Network net(small_config(3, 6));
   Log log;
-  auto a = std::make_shared<ParkingMhAgent>("a", log);
-  auto b = std::make_shared<ParkingMhAgent>("b", log);
+  ParkingMhAgent a("a", log);
+  ParkingMhAgent b("b", log);
   // Registered out of order: the join runs agents by protocol id.
-  net.mh(mh_id(0)).register_agent(kTestProto + 1, b);
-  net.mh(mh_id(0)).register_agent(kTestProto, a);
+  net.mh(mh_id(0)).register_agent(kTestProto + 1, &b);
+  net.mh(mh_id(0)).register_agent(kTestProto, &a);
   net.start();
   net.mh(mh_id(0)).move_to(mss_id(1), 20);
-  b->park("y");
-  a->park("x1");
-  a->park("x2");
+  b.park("y");
+  a.park("x1");
+  a.park("x2");
   net.run();
   EXPECT_EQ(log, (Log{"a joined mss:1", "a x1", "a x2", "b joined mss:1", "b y"}));
 }
@@ -597,11 +597,11 @@ TEST(ParkedWork, EachAgentsHookAndWorkRunBeforeTheNextAgentsInProtocolOrder) {
 TEST(ParkedWork, WorkParkedWhileDrainingWaitsForTheFollowingJoin) {
   Network net(small_config(3, 6));
   Log log;
-  auto agent = std::make_shared<ParkingMhAgent>("a", log);
-  net.mh(mh_id(0)).register_agent(kTestProto, agent);
+  ParkingMhAgent agent("a", log);
+  net.mh(mh_id(0)).register_agent(kTestProto, &agent);
   net.start();
   net.mh(mh_id(0)).move_to(mss_id(1), 20);
-  agent->park_disconnect_then("again");
+  agent.park_disconnect_then("again");
   net.run();
   EXPECT_EQ(log, (Log{"a joined mss:1", "a disconnects"}));
   EXPECT_TRUE(net.is_disconnected(mh_id(0)));

@@ -992,6 +992,22 @@ TEST(ShardGroup, CrossShardChainAdvancesThroughManyWindows) {
   EXPECT_EQ(group.lookahead(), 1u);
 }
 
+// Mail whose injection throws (an empty fn) must come back out of run()
+// as that exception at every shard count. The injection runs while
+// every shard waits at the window barrier, never on a thread that could
+// let the exception escape and terminate the process.
+TEST(ShardGroup, MailThatCannotBeInjectedRethrowsAtEveryShardCount) {
+  for (const std::uint32_t shard_count : {1u, 2u}) {
+    std::vector<Scheduler> scheds(shard_count);
+    std::vector<Scheduler*> raw;
+    for (auto& sched : scheds) raw.push_back(&sched);
+    ShardGroup group(std::move(raw), 2);
+    scheds[0].schedule(3, [] {});
+    group.post(0, ShardGroup::Mail{5, shard_count - 1, 0, 1, SmallFn{}});
+    EXPECT_THROW(group.run(), std::invalid_argument) << shard_count << " shards";
+  }
+}
+
 TEST(ShardGroup, EventLimitStopsAtWindowGranularity) {
   Scheduler a;
   Scheduler b;

@@ -3,7 +3,6 @@
 // Shared fixtures for substrate-level tests: recording agents that
 // expose the protected send helpers and log every callback.
 
-#include <any>
 #include <functional>
 #include <string>
 #include <utility>
@@ -46,11 +45,11 @@ class RecordingMssAgent : public MssAgent {
   void on_mh_reconnected(MhId mh, MssId prev) override {
     events.push_back("reconnected:" + to_string(mh) + "<-" + to_string(prev));
   }
-  std::any on_handoff_out(MhId mh) override {
+  Body on_handoff_out(MhId mh) override {
     events.push_back("handoff_out:" + to_string(mh));
     return handoff_blob;
   }
-  void on_handoff_in(MhId mh, MssId from, const std::any& state) override {
+  void on_handoff_in(MhId mh, MssId from, const Body& state) override {
     events.push_back("handoff_in:" + to_string(mh) + "<-" + to_string(from));
     last_handoff_in = state;
     if (forward_handoff) handoff_blob = state;  // re-export on the next handoff_out
@@ -76,8 +75,8 @@ class RecordingMssAgent : public MssAgent {
   std::vector<std::string> events;
   std::vector<std::pair<MhId, Body>> unreachable;
   std::vector<std::pair<MhId, Body>> local_failures;
-  std::any handoff_blob;
-  std::any last_handoff_in;
+  Body handoff_blob;
+  Body last_handoff_in;
   bool forward_handoff = false;
   std::function<void(const Envelope&)> on_msg;
   std::function<void(MhId, MssId)> on_joined;
@@ -109,22 +108,23 @@ class RecordingMhAgent : public MhAgent {
 };
 
 /// Install one RecordingMssAgent per MSS and one RecordingMhAgent per MH
-/// under kTestProto; returns raw observation pointers.
+/// under kTestProto. The harness owns the agents, so it must outlive
+/// every run of `n`; `mss` and `mh` point at them.
 struct Harness {
-  explicit Harness(Network& n) : net(n) {
+  explicit Harness(Network& n) : net(n), mss_agents(n.num_mss()), mh_agents(n.num_mh()) {
     for (std::uint32_t i = 0; i < n.num_mss(); ++i) {
-      auto agent = std::make_shared<RecordingMssAgent>();
-      mss.push_back(agent.get());
-      n.mss(static_cast<MssId>(i)).register_agent(kTestProto, agent);
+      mss.push_back(&mss_agents[i]);
+      n.mss(static_cast<MssId>(i)).register_agent(kTestProto, mss.back());
     }
     for (std::uint32_t i = 0; i < n.num_mh(); ++i) {
-      auto agent = std::make_shared<RecordingMhAgent>();
-      mh.push_back(agent.get());
-      n.mh(static_cast<MhId>(i)).register_agent(kTestProto, agent);
+      mh.push_back(&mh_agents[i]);
+      n.mh(static_cast<MhId>(i)).register_agent(kTestProto, mh.back());
     }
   }
 
   Network& net;
+  std::vector<RecordingMssAgent> mss_agents;
+  std::vector<RecordingMhAgent> mh_agents;
   std::vector<RecordingMssAgent*> mss;
   std::vector<RecordingMhAgent*> mh;
 };
