@@ -1,5 +1,6 @@
 #include "net/mobile_host.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -7,7 +8,12 @@
 
 namespace mobidist::net {
 
-MobileHost::MobileHost(Network& net, MhId id) : net_(net), id_(id) {}
+MobileHost::MobileHost(Network& net, MhId id) noexcept : net_(net), id_(id) {}
+
+MobileHost::RelayFifo& MobileHost::relay_fifo() {
+  if (!relay_fifo_) relay_fifo_ = std::make_unique<RelayFifo>();
+  return *relay_fifo_;
+}
 
 void MobileHost::register_agent(ProtocolId proto, MhAgent* agent) {
   if (agent == nullptr) {
@@ -91,7 +97,7 @@ void MobileHost::send_relay(MhId dst, ProtocolId inner_proto, Body body, bool fi
     throw std::logic_error("MobileHost::send_relay: " + to_string(id_) + " is not in a cell");
   }
   msg::Relay relay{id_, dst, inner_proto, std::move(body), 0, fifo};
-  if (fifo) relay.seq = ++relay_send_seq_[dst];  // first seq is 1 = next_expected
+  if (fifo) relay.seq = ++relay_fifo().send_seq[dst];  // first seq is 1 = next_expected
   Envelope env;
   env.proto = protocol::kRelay;
   env.src = id_;
@@ -122,7 +128,7 @@ void MobileHost::accept_relay(const msg::Relay& relay) {
     dispatch_inner(relay.inner_proto, relay.src_mh, relay.inner);
     return;
   }
-  auto& rs = relay_recv_[relay.src_mh];
+  auto& rs = relay_fifo().recv[relay.src_mh];
   if (relay.seq < rs.next_expected) return;  // duplicate; drop
   if (relay.seq > rs.next_expected) {
     // Out of order (the sender's earlier message is still chasing us

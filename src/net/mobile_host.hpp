@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 
 #include "net/agent.hpp"
 #include "net/envelope.hpp"
@@ -24,9 +25,13 @@ enum class MhState : std::uint8_t {
 /// disconnect(r)/reconnect, doze mode, and the FIFO resequencer for the
 /// MH-to-MH relay service. Algorithm behaviour comes from MhAgents,
 /// found through the Network's per-protocol agent tables.
-class MobileHost {
+///
+/// One cache-line row of the Network's host array: on the sharded
+/// engine a host is written only from its own shard, and no two hosts
+/// share a line.
+class alignas(64) MobileHost {
  public:
-  MobileHost(Network& net, MhId id);
+  MobileHost(Network& net, MhId id) noexcept;
 
   MobileHost(const MobileHost&) = delete;
   MobileHost& operator=(const MobileHost&) = delete;
@@ -111,14 +116,20 @@ class MobileHost {
   std::uint64_t downlink_seq_seen_ = 0;  ///< r: last downlink seq received here
   std::uint64_t joins_completed_ = 0;
 
-  // Relay FIFO machinery: per-destination send sequence numbers and a
-  // per-source resequencing buffer (next expected seq + held payloads).
-  std::map<MhId, std::uint64_t> relay_send_seq_;
-  struct Resequencer {
-    std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, msg::Relay> held;
+  /// Relay FIFO machinery: per-destination send sequence numbers and a
+  /// per-source resequencing buffer (next expected seq + held payloads).
+  struct RelayFifo {
+    std::map<MhId, std::uint64_t> send_seq;
+    struct Resequencer {
+      std::uint64_t next_expected = 1;
+      std::map<std::uint64_t, msg::Relay> held;
+    };
+    std::map<MhId, Resequencer> recv;
   };
-  std::map<MhId, Resequencer> relay_recv_;
+  /// This host's relay FIFO state, made on its first FIFO relay send or
+  /// receive: most hosts never relay.
+  RelayFifo& relay_fifo();
+  std::unique_ptr<RelayFifo> relay_fifo_;
 };
 
 }  // namespace mobidist::net

@@ -1,5 +1,6 @@
 #include "net/mss.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -94,10 +95,14 @@ void Mss::dispatch(const Envelope& env) {
 }
 
 void Mss::handle_join(const msg::Join& join) {
+  // The record keeps the join count in 32 bits.
+  if (net_.mh(join.mh).joins_completed() >= UINT32_MAX) {
+    throw std::length_error("Mss: " + to_string(join.mh) + " joined too many times");
+  }
   auto& record = net_.enter_cell(id_, join.mh);
   record.local = true;
   net_.mh(join.mh).complete_join(id_);
-  record.arrival = net_.mh(join.mh).joins_completed();
+  record.arrival = static_cast<std::uint32_t>(net_.mh(join.mh).joins_completed());
   auto& stats = net_.stats();
   ++stats.joins;
   if (join.reconnect) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -79,10 +80,11 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
   for (std::uint32_t i = 0; i < cfg_.num_mss; ++i) {
     mss_.push_back(std::make_unique<Mss>(*this, static_cast<MssId>(i)));
   }
-  mh_.reserve(cfg_.num_mh);
+  MobileHost* rows = std::allocator<MobileHost>().allocate(cfg_.num_mh);
   for (std::uint32_t i = 0; i < cfg_.num_mh; ++i) {
-    mh_.push_back(std::make_unique<MobileHost>(*this, static_cast<MhId>(i)));
+    std::construct_at(rows + i, *this, static_cast<MhId>(i));
   }
+  mh_ = {rows, HostRowsDelete{cfg_.num_mh}};
   // Initial placement: direct, no protocol traffic. Agents observe it in
   // on_start via Mss::local_mhs(). Placement draws from the global
   // stream even when sharded — it happens before the run, on one
@@ -97,14 +99,19 @@ Network::Network(NetConfig cfg) : cfg_(cfg), rng_(cfg.seed) {
         break;
       case InitialPlacement::kAllInCell0: cell = 0; break;
     }
-    mh_[i]->mss_ = static_cast<MssId>(cell);
-    mh_[i]->state_ = MhState::kConnected;
+    mh_[i].mss_ = static_cast<MssId>(cell);
+    mh_[i].state_ = MhState::kConnected;
     mss_[cell]->place_local(static_cast<MhId>(i));
     mh_lane_.push_back(cell);
   }
 }
 
 Network::~Network() = default;
+
+void Network::HostRowsDelete::operator()(MobileHost* rows) const noexcept {
+  std::destroy_n(rows, count);
+  std::allocator<MobileHost>().deallocate(rows, count);
+}
 
 Mss& Network::mss(MssId id) {
   assert(index(id) < mss_.size());
@@ -115,12 +122,12 @@ const Mss& Network::mss(MssId id) const {
   return *mss_[index(id)];
 }
 MobileHost& Network::mh(MhId id) {
-  assert(index(id) < mh_.size());
-  return *mh_[index(id)];
+  assert(index(id) < cfg_.num_mh);
+  return mh_[index(id)];
 }
 const MobileHost& Network::mh(MhId id) const {
-  assert(index(id) < mh_.size());
-  return *mh_[index(id)];
+  assert(index(id) < cfg_.num_mh);
+  return mh_[index(id)];
 }
 
 void Network::require_legacy(const char* what) const {
@@ -243,7 +250,7 @@ void Network::start() {
   started_ = true;
   const auto start = [](auto& agent) { agent.on_start(); };
   for (const auto& station : mss_) for_each_agent(station->id(), start);
-  for (const auto& host : mh_) for_each_agent(host->id(), start);
+  for (std::uint32_t i = 0; i < cfg_.num_mh; ++i) for_each_agent(static_cast<MhId>(i), start);
 }
 
 std::uint64_t Network::run(std::uint64_t event_limit) {
@@ -284,6 +291,24 @@ bool Network::is_disconnected(MhId id) const {
 }
 bool Network::is_in_transit(MhId id) const {
   return mh(id).state() == MhState::kInTransit;
+}
+
+Network::DedupState Network::wireless_dedup(MssId cell, MhId mh, bool downlink) const {
+  const auto& slice = *slices_[shard_of(index(cell))];
+  const auto i = find_record(slice, cell, mh);
+  if (i == kNoRecord) return {};
+  const auto& record = slice.record(i);
+  if ((record.parked & (downlink ? 1 : 2)) == 0) {
+    return {(downlink ? record.downlink : record.uplink).floor, 0};
+  }
+  const auto& window = slice.parked.at(ShardSlice::window_key(i, downlink));
+  return {window.floor, window.above.size()};
+}
+
+std::size_t Network::parked_windows() const noexcept {
+  std::size_t total = 0;
+  for (const auto& slice : slices_) total += slice->parked.size();
+  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -330,12 +355,16 @@ Network::CellRecord& Network::cell_record(MssId cell, MhId mh) {
   return slice.record(record_link(slice, cell, mh));
 }
 
+std::uint32_t Network::find_record(const ShardSlice& slice, MssId cell, MhId mh) {
+  auto i = slice.first_record[index(mh)];
+  while (i != kNoRecord && slice.record(i).cell != cell) i = slice.record(i).next;
+  return i;
+}
+
 const Network::CellRecord* Network::find_cell_record(MssId cell, MhId mh) const {
   const auto& slice = *slices_[shard_of(index(cell))];
-  for (auto i = slice.first_record[index(mh)]; i != kNoRecord; i = slice.record(i).next) {
-    if (slice.record(i).cell == cell) return &slice.record(i);
-  }
-  return nullptr;
+  const auto i = find_record(slice, cell, mh);
+  return i == kNoRecord ? nullptr : &slice.record(i);
 }
 
 Network::CellRecord& Network::enter_cell(MssId cell, MhId mh) {
@@ -595,6 +624,34 @@ bool WseqDedup::deliver(std::uint64_t wseq) {
   return true;
 }
 
+bool Network::dedup(ShardSlice& slice, std::uint32_t i, bool downlink, std::uint64_t wseq) {
+  auto& record = slice.record(i);
+  auto& chan = downlink ? record.downlink : record.uplink;
+  const std::uint8_t bit = downlink ? 1 : 2;
+  if ((record.parked & bit) == 0) {
+    // Nothing parked: the window is the floor alone, as WseqDedup's
+    // first two cases read it.
+    if (wseq <= chan.floor) return false;
+    if (wseq == chan.floor + 1) {
+      ++chan.floor;
+      return true;
+    }
+  }
+  const auto [it, added] = slice.parked.try_emplace(ShardSlice::window_key(i, downlink));
+  auto& window = it->second;
+  if (added) {
+    window.floor = chan.floor;
+    record.parked |= bit;
+  }
+  const bool fresh = window.deliver(wseq);
+  if (window.above.empty()) {
+    chan.floor = window.floor;
+    record.parked &= ~bit;
+    slice.parked.erase(it);
+  }
+  return fresh;
+}
+
 void Network::send_wireless_downlink(MssId from, Envelope env, MhId to,
                                      FailCallback on_fail) {
   wireless_attempt(Frame{.kind = FrameKind::kDownlink, .cell = from, .mh = to}, std::move(env),
@@ -740,8 +797,8 @@ void Network::land_frame(const Frame& frame, obs::EventId send_id, Envelope env,
     if (on_fail) on_fail(env);
     return;
   }
-  auto& record = cell_record(frame.cell, frame.mh);
-  if (!(frame.downlink() ? record.downlink : record.uplink).dedup.deliver(frame.wseq)) {
+  auto& slice = *slices_[shard_of(index(frame.cell))];
+  if (!dedup(slice, record_link(slice, frame.cell, frame.mh), frame.downlink(), frame.wseq)) {
     // A link-layer copy of a frame the receiver already consumed:
     // silently suppressed, its send stays unconsumed in the stream.
     ++sl().stats.dup_suppressed;

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "cost/cost_model.hpp"
@@ -267,6 +268,20 @@ class Network {
   /// True while `id` is between leave() and its next join.
   [[nodiscard]] bool is_in_transit(MhId id) const;
 
+  /// The receiver's duplicate-suppression state of one wireless channel
+  /// (see WseqDedup): every wseq <= `floor` has been delivered, and
+  /// `parked` wseqs above it wait for a gap to fill.
+  struct DedupState {
+    std::uint64_t floor = 0;
+    std::size_t parked = 0;
+  };
+  /// The dedup state of the downlink (`downlink`) or uplink channel
+  /// between `cell` and `mh`; all zero when `cell` has no record for it.
+  [[nodiscard]] DedupState wireless_dedup(MssId cell, MhId mh, bool downlink) const;
+  /// Channels with a frame parked above a gap, summed across slices:
+  /// the entries of the slices' side tables of dedup windows.
+  [[nodiscard]] std::size_t parked_windows() const noexcept;
+
   // --- messaging (used by agents via the helpers in agent.hpp) ------------
 
   /// Wired MSS -> MSS send. FIFO per ordered pair; charges the wired
@@ -384,35 +399,44 @@ class Network {
 
   /// One wireless channel's state. `fifo_clock` clamps arrivals (never
   /// decrease per ordered channel); `next_wseq` is the sender-side
-  /// logical frame number; `dedup` is the receiver-side duplicate
-  /// suppression window (see WseqDedup).
+  /// logical frame number; `floor` is the receiver's dedup floor
+  /// (WseqDedup::floor). While a frame of the channel is parked above a
+  /// gap, its whole window lives in the slice's `parked` table instead,
+  /// and `floor` is stale until the window is written back (see dedup()).
   struct ChannelState {
     sim::SimTime fifo_clock = 0;
     std::uint64_t next_wseq = 0;
-    WseqDedup dedup;
+    std::uint64_t floor = 0;
   };
 
   /// End of a MH's record list (see CellRecord::next).
   static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
 
-  /// Everything §2 keeps for one MH at one cell: its wireless channel
-  /// pair and the cell's bookkeeping flags for it. Records are never
-  /// freed, so a MH that has talked to k cells keeps k of them.
-  struct CellRecord {
+  /// Everything §2 keeps for one MH at one cell, in one cache line: its
+  /// wireless channel pair and the cell's bookkeeping flags for it.
+  /// Records are never freed, so a MH that has talked to k cells keeps k
+  /// of them.
+  struct alignas(64) CellRecord {
+    ChannelState downlink;
+    ChannelState uplink;
     MssId cell = kInvalidMss;
     /// Pool index of the MH's next record in this slice, or kNoRecord.
     std::uint32_t next = kNoRecord;
-    bool local = false;             ///< in the cell's local-MH list
-    bool disconnected = false;      ///< carries the cell's "disconnected" flag
-    /// A HandoffRequest that arrives while the MH's state from *its*
-    /// previous MSS is still due is deferred until that state lands.
-    bool awaiting_handoff_in = false;
     /// joins_completed() at the MH's latest arrival here; read only while
     /// `local`, to detect leaves and handoff requests the MH has outrun.
-    std::uint64_t arrival = 0;
-    ChannelState downlink;
-    ChannelState uplink;
+    /// Mss::handle_join throws std::length_error past 2^32 - 1 joins.
+    std::uint32_t arrival = 0;
+    bool local : 1 = false;         ///< in the cell's local-MH list
+    bool disconnected : 1 = false;  ///< carries the cell's "disconnected" flag
+    /// A HandoffRequest that arrives while the MH's state from *its*
+    /// previous MSS is still due is deferred until that state lands.
+    bool awaiting_handoff_in : 1 = false;
+    /// Bit 0 downlink, bit 1 uplink: that channel's dedup window is in
+    /// the slice's `parked` table.
+    std::uint8_t parked : 2 = 0;
   };
+  static_assert(sizeof(CellRecord) == 64 && alignof(CellRecord) == 64,
+                "a cell record is one cache line");
 
   /// Everything one shard owns and touches from its own thread during a
   /// run: event queue, measurement state (ledger / metrics / stats /
@@ -453,8 +477,9 @@ class Network {
     /// FIFO clocks of the wired channels this slice sends on, row-major
     /// M x M by (from, to). Wired channels need no wseq or dedup.
     std::vector<sim::SimTime> wired_clocks;
-    /// Records per pool block.
-    static constexpr std::uint32_t kRecordBlock = 256;
+    /// Records per pool block: 64 KiB, so a Network of 10 000 hosts
+    /// builds their first records in 10 allocations.
+    static constexpr std::uint32_t kRecordBlock = 1024;
     /// The records of the cells this slice hosts, in creation order, in
     /// fixed-size blocks: a record never moves, and none is freed before
     /// the slice is, so mobility leaves no holes in the heap.
@@ -470,6 +495,14 @@ class Network {
     }
     [[nodiscard]] const CellRecord& record(std::uint32_t i) const noexcept {
       return record_blocks[i / kRecordBlock][i % kRecordBlock];
+    }
+    /// The dedup windows of the channels that have a frame parked above
+    /// a gap, keyed by window_key(). A channel whose frames arrive in
+    /// order has no entry.
+    std::unordered_map<std::uint64_t, WseqDedup> parked;
+    /// The `parked` key of record `i`'s downlink or uplink channel.
+    [[nodiscard]] static std::uint64_t window_key(std::uint32_t i, bool downlink) noexcept {
+      return 2 * std::uint64_t{i} + (downlink ? 0 : 1);
     }
     /// Wired batching queues of this slice's MSSs; null in passthrough
     /// mode so the unbatched wire path never even consults it.
@@ -524,6 +557,9 @@ class Network {
   [[nodiscard]] CellRecord& cell_record(MssId cell, MhId mh);
   /// Same lookup without creating; nullptr when `cell` has no record.
   [[nodiscard]] const CellRecord* find_cell_record(MssId cell, MhId mh) const;
+  /// Pool index of `cell`'s record for `mh` in `slice`; kNoRecord when
+  /// there is none.
+  [[nodiscard]] static std::uint32_t find_record(const ShardSlice& slice, MssId cell, MhId mh);
   /// cell_record(), moved to the front of the MH's list: the MH has just
   /// become local to `cell`, so its next lookups hit on one comparison.
   CellRecord& enter_cell(MssId cell, MhId mh);
@@ -531,6 +567,14 @@ class Network {
   /// `cell`'s record for `mh` in `slice`; appends a record when `cell`
   /// has none.
   [[nodiscard]] static std::uint32_t& record_link(ShardSlice& slice, MssId cell, MhId mh);
+  /// WseqDedup::deliver of `wseq` on one channel of record `i` in
+  /// `slice`; false = duplicate. An in-order frame only advances the
+  /// record's floor. The first frame above a gap moves the channel's
+  /// window, seeded from that floor, into the slice's `parked` table;
+  /// every later frame goes through it until its parked set empties,
+  /// when the floor is written back and the entry erased.
+  [[nodiscard]] static bool dedup(ShardSlice& slice, std::uint32_t i, bool downlink,
+                                  std::uint64_t wseq);
 
   /// One latency draw from the stream owned by `lane` (the sender's
   /// lane, so the draw sequence is a per-lane pure function).
@@ -705,7 +749,16 @@ class Network {
   std::vector<std::uint32_t> mh_lane_;
 
   std::vector<std::unique_ptr<Mss>> mss_;
-  std::vector<std::unique_ptr<MobileHost>> mh_;
+  /// Destroys and frees `count` host rows built in place. `count` has
+  /// no member initializer, which would keep unique_ptr from
+  /// default-constructing the deleter while Network is incomplete.
+  struct HostRowsDelete {
+    std::uint32_t count;
+    void operator()(MobileHost* rows) const noexcept;
+  };
+  /// The hosts, one 64-byte row each, built in place in one array sized
+  /// at construction: no host is allocated alone, and none ever moves.
+  std::unique_ptr<MobileHost[], HostRowsDelete> mh_;
   /// Every registered protocol's agents, in ascending protocol id.
   std::map<ProtocolId, AgentTable> agent_tables_;
 

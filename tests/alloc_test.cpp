@@ -533,6 +533,17 @@ TEST(AgentTableAlloc, BuildingL2AllocatesTheSameAtAnyHostCount) {
   EXPECT_LT(small, 1'000u) << "fewer allocations than hosts";
 }
 
+// Hosts are rows of one array built in place, and their first cell
+// records come from 1 024-record blocks, so constructing a Network costs
+// one allocation per block, not one per host (a heap block per
+// MobileHost made at least 10 000).
+TEST(HostRowAlloc, ConstructingTenThousandHostsMakesFewerThanAHundredAllocations) {
+  net::NetConfig cfg;
+  cfg.num_mss = 8;
+  cfg.num_mh = 10'000;
+  EXPECT_LT(allocations_during([&] { net::Network net(cfg); }), 100u);
+}
+
 // The single-pass checker claim: what it remembers per event lives in
 // id-indexed vectors and per-channel / per-entity slot tables, so
 // checking a full 2^18-record ring costs a few dozen table growths, not a

@@ -58,8 +58,8 @@ TEST(Envelope, BodyAsReturnsNullOnTypeMismatch) {
 // --------------------------------------------------------------------------
 
 // A host holds no agent container: its agents live in the Network's
-// per-protocol tables.
-static_assert(sizeof(MobileHost) <= 144 && sizeof(Mss) <= 64);
+// per-protocol tables. A MobileHost is one cache-line row.
+static_assert(sizeof(MobileHost) == 64 && alignof(MobileHost) == 64 && sizeof(Mss) <= 64);
 
 TEST(Registration, DuplicateProtocolThrows) {
   Network net(small_config());

@@ -858,6 +858,52 @@ TEST(ReliableWireless, DuplicatedUplinkIsSuppressedExactlyOnce) {
   ExpectCleanEventStream(net);
 }
 
+// The first frame is lost and retransmitted behind the two later frames
+// of its channel (each of those followed by a link-layer copy). While the
+// gap is open, the channel's dedup window sits in the cell's side table;
+// the retransmission fills the gap, and the floor goes back to the
+// record.
+TEST(ReliableWireless, FrameRetransmittedBehindLaterFramesParksThenDrainsTheWindow) {
+  Network net(small_config(3, 6));
+  fault::FaultProfile profile;
+  profile.drop_first_wireless = 1;
+  profile.dup_first_wireless = 2;
+  net.install_fault_plane(profile);
+  Harness h(net);
+  net.start();
+  for (int i = 0; i < 3; ++i) h.mss[1]->do_send_local(mh_id(1), i);
+  EXPECT_EQ(net.parked_windows(), 0u);
+  // Frames 2 and 3 and their copies land at t=2; frame 1 is sent again
+  // at t=16 and lands at t=18.
+  bool checked_open_gap = false;
+  net.sched().schedule_at(10, [&] {
+    EXPECT_EQ(net.parked_windows(), 1u);
+    const auto open = net.wireless_dedup(mss_id(1), mh_id(1), /*downlink=*/true);
+    EXPECT_EQ(open.floor, 0u);
+    EXPECT_EQ(open.parked, 2u);
+    EXPECT_EQ(net.wireless_dedup(mss_id(1), mh_id(1), /*downlink=*/false).parked, 0u);
+    checked_open_gap = true;
+  });
+  net.run();
+  EXPECT_TRUE(checked_open_gap);
+  EXPECT_EQ(net.parked_windows(), 0u);
+  const auto closed = net.wireless_dedup(mss_id(1), mh_id(1), /*downlink=*/true);
+  EXPECT_EQ(closed.floor, 3u);
+  EXPECT_EQ(closed.parked, 0u);
+  // Exactly once each, in arrival order; both copies suppressed.
+  ASSERT_EQ(h.mh[1]->received.size(), 3u);
+  const int expected[] = {1, 2, 0};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const auto* payload = net::body_as<int>(h.mh[1]->received[k].env);
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(*payload, expected[k]);
+  }
+  EXPECT_EQ(h.mh[1]->received[2].at, 18u);
+  EXPECT_EQ(net.stats().dup_suppressed, 2u);
+  EXPECT_EQ(net.stats().retransmissions, 1u);
+  ExpectCleanEventStream(net);
+}
+
 TEST(ReliableWireless, LostLeaveIsNotRetransmittedAfterTheNextJoin) {
   Network net(small_config(3, 6));
   fault::FaultProfile profile;
